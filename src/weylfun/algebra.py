@@ -8,6 +8,7 @@ parts).  Floats enter only at evaluation boundaries.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Mapping, Union
 
 # Arbitrary-precision rational scalar.  fractions.Fraction already keeps
@@ -153,21 +154,63 @@ GR_ONE = GaussRational(1)
 GR_I = GaussRational(0, 1)
 
 
-def _normalized_terms(coeffs) -> dict:
+# ------------------------------------------------------------ term maps
+# UniPoly, ShiftedPoly and WeylOp store a term map: a dict from key (a
+# degree, or an (x, p) exponent pair) to a nonzero GaussRational.  No zero
+# coefficient is ever stored, so two term maps are equal exactly when the
+# values they represent are.  Results built by these helpers are already in
+# that form and are wrapped without passing through a constructor.
+
+
+def _terms_sum(pairs) -> dict:
+    """Sum exact (key, coefficient) pairs into a term map."""
     out = {}
-    for k, c in coeffs.items() if isinstance(coeffs, Mapping) else coeffs:
-        if not isinstance(k, int):
-            raise TypeError(f"degree must be an int, got {type(k).__name__}")
-        g = as_gauss(c)
-        if g is NotImplemented:
-            raise TypeError(f"bad coefficient {c!r}")
-        if k in out:
-            g = out[k] + g
-        if g.is_zero():
-            out.pop(k, None)
-        else:
-            out[k] = g
+    for k, c in pairs:
+        s = out.get(k)
+        out[k] = c if s is None else s + c
+    return {k: c for k, c in out.items() if not c.is_zero()}
+
+
+def _terms_from(items, check_key) -> dict:
+    """Validate caller input (a mapping or (key, coefficient) pairs) into a term map."""
+
+    def checked():
+        for k, c in items.items() if isinstance(items, Mapping) else items:
+            check_key(k)
+            g = as_gauss(c)
+            if g is NotImplemented:
+                raise TypeError(f"bad coefficient {c!r}")
+            yield k, g
+
+    return _terms_sum(checked())
+
+
+def _terms_add(a: dict, b: dict) -> dict:
+    return _terms_sum(chain(a.items(), b.items()))
+
+
+def _terms_neg(a: dict) -> dict:
+    return {k: -c for k, c in a.items()}
+
+
+def _wrap(cls, terms: dict):
+    """An instance of cls (UniPoly or WeylOp) holding an already-normalized term map."""
+    out = object.__new__(cls)
+    out._terms = terms
     return out
+
+
+def _scaled(cls, terms: dict, other):
+    """terms times the scalar other, wrapped in cls; NotImplemented for a non-scalar."""
+    g = as_gauss(other)
+    if g is NotImplemented:
+        return NotImplemented
+    return _wrap(cls, {k: c * g for k, c in terms.items()} if not g.is_zero() else {})
+
+
+def _check_degree(k) -> None:
+    if not isinstance(k, int):
+        raise TypeError(f"degree must be an int, got {type(k).__name__}")
 
 
 class UniPoly:
@@ -177,10 +220,10 @@ class UniPoly:
     polynomial with no stored zero coefficients.
     """
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ("_terms",)
 
     def __init__(self, coeffs: Mapping[int, ScalarLike] | Iterable = ()):
-        self._coeffs = _normalized_terms(coeffs)
+        self._terms = _terms_from(coeffs, _check_degree)
 
     @classmethod
     def zero(cls) -> "UniPoly":
@@ -201,64 +244,49 @@ class UniPoly:
     @property
     def degree(self) -> int:
         """Degree of the polynomial, -1 for the zero polynomial."""
-        return max(self._coeffs) if self._coeffs else -1
+        return max(self._terms) if self._terms else -1
 
     def is_zero(self) -> bool:
-        return not self._coeffs
+        return not self._terms
 
     def coeff(self, k: int) -> GaussRational:
-        return self._coeffs.get(k, GR_ZERO)
+        return self._terms.get(k, GR_ZERO)
 
     def terms(self):
         """Sorted (degree, coefficient) pairs, ascending degree."""
-        return tuple(sorted(self._coeffs.items()))
+        return tuple(sorted(self._terms.items()))
 
     def __add__(self, other):
         if not isinstance(other, UniPoly):
             return NotImplemented
-        out = dict(self._coeffs)
-        for k, c in other._coeffs.items():
-            s = out.get(k, GR_ZERO) + c
-            if s.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = s
-        return UniPoly(out)
+        return _wrap(UniPoly, _terms_add(self._terms, other._terms))
 
     def __sub__(self, other):
         if not isinstance(other, UniPoly):
             return NotImplemented
-        return self + (-other)
+        return _wrap(UniPoly, _terms_add(self._terms, _terms_neg(other._terms)))
 
     def __neg__(self):
-        return UniPoly({k: -c for k, c in self._coeffs.items()})
+        return _wrap(UniPoly, _terms_neg(self._terms))
 
     def __mul__(self, other):
         if isinstance(other, UniPoly):
-            out: dict = {}
-            for k1, c1 in self._coeffs.items():
-                for k2, c2 in other._coeffs.items():
-                    k = k1 + k2
-                    s = out.get(k, GR_ZERO) + c1 * c2
-                    out[k] = s
-            return UniPoly(out)
-        g = as_gauss(other)
-        if g is NotImplemented:
-            return NotImplemented
-        if g.is_zero():
-            return UniPoly()
-        return UniPoly({k: c * g for k, c in self._coeffs.items()})
+            b = other._terms
+            return _wrap(UniPoly, _terms_sum(
+                (k1 + k2, c1 * c2) for k1, c1 in self._terms.items() for k2, c2 in b.items()
+            ))
+        return _scaled(UniPoly, self._terms, other)
 
     __rmul__ = __mul__
 
     def derivative(self) -> "UniPoly":
-        return UniPoly({k - 1: c * k for k, c in self._coeffs.items() if k > 0})
+        return _wrap(UniPoly, {k - 1: c * k for k, c in self._terms.items() if k > 0})
 
     def shift(self, j: int) -> "UniPoly":
         """Multiply by x**j."""
         if j < 0:
             raise ValueError("shift exponent must be nonnegative")
-        return UniPoly({k + j: c for k, c in self._coeffs.items()})
+        return _wrap(UniPoly, {k + j: c for k, c in self._terms.items()})
 
     def evaluate(self, x0):
         """Horner evaluation: exact for exact input, complex for float input."""
@@ -266,19 +294,19 @@ class UniPoly:
             arg = as_gauss(x0)
             acc = GR_ZERO
             for k in range(self.degree, -1, -1):
-                acc = acc * arg + self._coeffs.get(k, GR_ZERO)
+                acc = acc * arg + self._terms.get(k, GR_ZERO)
             return acc
         arg = complex(x0)
         acc = 0j
         for k in range(self.degree, -1, -1):
-            c = self._coeffs.get(k)
+            c = self._terms.get(k)
             acc = acc * arg + (complex(c) if c is not None else 0.0)
         return acc
 
     def __eq__(self, other):
         if not isinstance(other, UniPoly):
             return NotImplemented
-        return self._coeffs == other._coeffs
+        return self._terms == other._terms
 
     __hash__ = None  # type: ignore[assignment]
 
@@ -321,66 +349,56 @@ def _term_text(coeff_txt: str, coeff_is_one: bool, k: int, var: str) -> str:
 class ShiftedPoly:
     """Exact sum of terms c_k * x**(alpha + k) with a fixed rational offset alpha.
 
-    Two values with different offsets cannot be combined; the offset is a
-    property of the instance, never mixed.
+    The terms are held as a UniPoly body in k, which may carry the negative
+    k that shifted_derivative produces.  Two values with different offsets
+    cannot be combined; the offset is a property of the instance, never mixed.
     """
 
-    __slots__ = ("alpha", "_coeffs")
+    __slots__ = ("alpha", "_body")
 
     def __init__(self, alpha: int | Fraction, coeffs: Mapping[int, ScalarLike] | Iterable = ()):
         self.alpha = _as_fraction(alpha)
-        self._coeffs = _normalized_terms(coeffs)
+        self._body = UniPoly(coeffs)
 
     def is_zero(self) -> bool:
-        return not self._coeffs
+        return self._body.is_zero()
 
     def coeff(self, k: int) -> GaussRational:
-        return self._coeffs.get(k, GR_ZERO)
+        return self._body.coeff(k)
 
     def terms(self):
-        return tuple(sorted(self._coeffs.items()))
+        return self._body.terms()
 
-    def _check_compatible(self, other: "ShiftedPoly"):
+    def _compatible_body(self, other: "ShiftedPoly") -> UniPoly:
         if self.alpha != other.alpha:
             raise ValueError(
                 f"cannot combine shifted polynomials with offsets {self.alpha} and {other.alpha}"
             )
+        return other._body
 
     def __add__(self, other):
         if not isinstance(other, ShiftedPoly):
             return NotImplemented
-        self._check_compatible(other)
-        out = dict(self._coeffs)
-        for k, c in other._coeffs.items():
-            s = out.get(k, GR_ZERO) + c
-            if s.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = s
-        return ShiftedPoly(self.alpha, out)
+        return _shifted(self.alpha, self._body + self._compatible_body(other))
 
     def __sub__(self, other):
         if not isinstance(other, ShiftedPoly):
             return NotImplemented
-        return self + (-other)
+        return _shifted(self.alpha, self._body - self._compatible_body(other))
 
     def __neg__(self):
-        return ShiftedPoly(self.alpha, {k: -c for k, c in self._coeffs.items()})
+        return _shifted(self.alpha, -self._body)
 
     def __mul__(self, other):
-        g = as_gauss(other)
-        if g is NotImplemented:
-            return NotImplemented
-        if g.is_zero():
-            return ShiftedPoly(self.alpha)
-        return ShiftedPoly(self.alpha, {k: c * g for k, c in self._coeffs.items()})
+        body = _scaled(UniPoly, self._body._terms, other)
+        return body if body is NotImplemented else _shifted(self.alpha, body)
 
     __rmul__ = __mul__
 
     def __eq__(self, other):
         if not isinstance(other, ShiftedPoly):
             return NotImplemented
-        return self.alpha == other.alpha and self._coeffs == other._coeffs
+        return self.alpha == other.alpha and self._body == other._body
 
     __hash__ = None  # type: ignore[assignment]
 
@@ -390,26 +408,30 @@ class ShiftedPoly:
         Every surviving exponent alpha + k - alpha = k must be a
         nonnegative integer; anything else signals an algebra bug.
         """
-        for k in self._coeffs:
+        for k in self._body._terms:
             if k < 0:
                 raise RuntimeError(
                     f"non-polynomial exponent {self.alpha}+{k} survived the offset removal"
                 )
-        return UniPoly(self._coeffs)
+        return self._body
 
     def __repr__(self):
         inner = " ".join(f"{c}*x^({self.alpha}+{k})" for k, c in self.terms())
         return f"ShiftedPoly<{inner or '0'}>"
 
 
+def _shifted(alpha: Fraction, body: UniPoly) -> ShiftedPoly:
+    out = object.__new__(ShiftedPoly)
+    out.alpha = alpha
+    out._body = body
+    return out
+
+
 def shifted_derivative(s: ShiftedPoly) -> ShiftedPoly:
     """Formal derivative: c_k x^(a+k) -> c_k (a+k) x^(a+k-1)."""
-    out = {}
-    for k, c in s.terms():
-        factor = s.alpha + k
-        if factor:
-            out[k - 1] = c * GaussRational(factor)
-    return ShiftedPoly(s.alpha, out)
+    a = s.alpha
+    terms = {k - 1: c * (a + k) for k, c in s._body._terms.items() if a + k}
+    return _shifted(a, _wrap(UniPoly, terms))
 
 
 def binom_shifted(alpha: int | Fraction, n: int, k: int) -> Fraction:

@@ -89,7 +89,10 @@ def j_integral(n: int, x: float, quad_nodes: int) -> float:
 
 
 def j_integral_auto(n: int, x: float, start_nodes: int = 64, cap: int = 4096) -> float:
-    """Node-doubling wrapper around j_integral, stopping at 1e-14 agreement."""
+    """Node-doubling wrapper around j_integral, stopping at 1e-14 agreement.
+
+    Raises AccuracyError if the node count reaches cap without agreement.
+    """
     nodes = start_nodes
     prev = j_integral(n, x, nodes)
     while nodes < cap:
@@ -98,7 +101,7 @@ def j_integral_auto(n: int, x: float, start_nodes: int = 64, cap: int = 4096) ->
         if abs(cur - prev) < 1e-14:
             return cur
         prev = cur
-    return prev
+    raise AccuracyError(f"trapezoid sum for J_{n}({x}) did not settle within {cap} nodes")
 
 
 def j_miller(n_max: int, x: float, pad: int = 20) -> list:

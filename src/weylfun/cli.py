@@ -14,7 +14,7 @@ import io
 import json
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from fractions import Fraction
 
 from . import bessel, disentangle, harness, polyfam
@@ -22,30 +22,6 @@ from .algebra import format_poly
 from .errors import WeylfunError
 
 CONFIG_ENV_VAR = "WEYLFUN_CONFIG"
-
-
-@dataclass(frozen=True)
-class CliConfig:
-    command: str
-    subcommand: str | None = None
-    n: int | None = None
-    n_max: int | None = None
-    alpha: Fraction | None = None
-    beta: complex | None = None
-    gamma: complex | None = None
-    x: float | None = None
-    y: float | None = None
-    t: Fraction | None = None
-    n_terms: int | None = None
-    k_cut: int | None = None
-    m_cut: int | None = None
-    tol: float | None = None
-    method: str = "series"
-    steps: int = 10_000
-    output: str = "text"
-    out_path: str | None = None
-    filter: str = "*"
-    seed: int | None = None
 
 
 def _fraction_flag(text: str) -> Fraction:
@@ -153,19 +129,6 @@ def _table_flags(p):
     p.add_argument("--out", dest="out_path", default=None, help="write output to FILE")
 
 
-def _config_from_args(args: argparse.Namespace) -> CliConfig:
-    fields = {
-        k: v
-        for k, v in vars(args).items()
-        if k in CliConfig.__dataclass_fields__ and v is not None
-    }
-    return CliConfig(
-        command=args.command,
-        subcommand=getattr(args, "target", None),
-        **{k: v for k, v in fields.items() if k not in ("command", "subcommand")},
-    )
-
-
 def _fmt_float(v: float) -> str:
     if float(v).is_integer() and abs(v) < 1e15:
         return str(int(v))
@@ -198,63 +161,63 @@ def _poly_payload(n: int, poly) -> dict:
     return {"n": n, "polynomial": format_poly(poly), "coefficients": coeffs}
 
 
-def _cmd_eval(cfg: CliConfig) -> int:
-    if cfg.subcommand == "hermite":
-        poly = polyfam.hermite_recurrence(cfg.n)[cfg.n]
-        payload = _poly_payload(cfg.n, poly)
+def _cmd_eval(args: argparse.Namespace) -> int:
+    if args.target == "hermite":
+        poly = polyfam.hermite_recurrence(args.n)[args.n]
+        payload = _poly_payload(args.n, poly)
         text = payload["polynomial"]
-    elif cfg.subcommand == "laguerre":
-        poly = polyfam.laguerre_recurrence(cfg.n, cfg.alpha)[cfg.n]
-        payload = _poly_payload(cfg.n, poly)
-        payload["alpha"] = str(cfg.alpha)
+    elif args.target == "laguerre":
+        poly = polyfam.laguerre_recurrence(args.n, args.alpha)[args.n]
+        payload = _poly_payload(args.n, poly)
+        payload["alpha"] = str(args.alpha)
         text = payload["polynomial"]
-    elif cfg.subcommand == "bessel":
-        if cfg.method == "series":
-            value = bessel.j_signed(cfg.n, cfg.x)
-        elif cfg.method == "integral":
+    elif args.target == "bessel":
+        if args.method == "series":
+            value = bessel.j_signed(args.n, args.x)
+        elif args.method == "integral":
             # the integral representation is valid for any sign of n and x
-            value = bessel.j_integral_auto(cfg.n, cfg.x)
+            value = bessel.j_integral_auto(args.n, args.x)
         else:
-            value = bessel.j_miller(abs(cfg.n), abs(cfg.x))[abs(cfg.n)]
-            value *= (-1.0) ** cfg.n if cfg.n < 0 else 1.0
-            value *= (-1.0) ** cfg.n if cfg.x < 0 else 1.0
-        payload = {"n": cfg.n, "x": cfg.x, "method": cfg.method, "value": value}
+            value = bessel.j_miller(abs(args.n), abs(args.x))[abs(args.n)]
+            value *= (-1.0) ** args.n if args.n < 0 else 1.0
+            value *= (-1.0) ** args.n if args.x < 0 else 1.0
+        payload = {"n": args.n, "x": args.x, "method": args.method, "value": value}
         text = _fmt_float(value)
     else:  # psi
-        value = polyfam.psi_eval(cfg.n, cfg.x).real
-        payload = {"n": cfg.n, "x": cfg.x, "value": value}
+        value = polyfam.psi_eval(args.n, args.x).real
+        payload = {"n": args.n, "x": args.x, "value": value}
         text = _fmt_float(value)
-    _emit(text if cfg.output == "text" else json.dumps(payload, sort_keys=True), cfg.out_path)
+    _emit(text if args.output == "text" else json.dumps(payload, sort_keys=True), args.out_path)
     return 0
 
 
-def _cmd_sum(cfg: CliConfig) -> int:
-    t = float(cfg.t)
-    closed = polyfam.even_hermite_closed(t, cfg.x)
-    payload = {"t": str(cfg.t), "x": cfg.x, "closed": closed.real}
+def _cmd_sum(args: argparse.Namespace) -> int:
+    t = float(args.t)
+    closed = polyfam.even_hermite_closed(t, args.x)
+    payload = {"t": str(args.t), "x": args.x, "closed": closed.real}
     lines = [f"closed = {_fmt_float(closed.real)}"]
-    if cfg.n_terms is not None:
-        partial = polyfam.even_hermite_partial(t, cfg.x, cfg.n_terms)
+    if args.n_terms is not None:
+        partial = polyfam.even_hermite_partial(t, args.x, args.n_terms)
         err = abs(partial - closed)
-        payload.update({"n_terms": cfg.n_terms, "partial": partial.real, "abs_err": err})
-        lines.append(f"partial[N={cfg.n_terms}] = {_fmt_float(partial.real)}")
+        payload.update({"n_terms": args.n_terms, "partial": partial.real, "abs_err": err})
+        lines.append(f"partial[N={args.n_terms}] = {_fmt_float(partial.real)}")
         lines.append(f"abs_err = {err!r}")
-    _emit("\n".join(lines) if cfg.output == "text" else json.dumps(payload, sort_keys=True),
-          cfg.out_path)
+    _emit("\n".join(lines) if args.output == "text" else json.dumps(payload, sort_keys=True),
+          args.out_path)
     return 0
 
 
-def _cmd_disentangle(cfg: CliConfig) -> int:
-    t = float(cfg.t)
-    custom = any(v is not None for v in (cfg.alpha, cfg.beta, cfg.gamma))
+def _cmd_disentangle(args: argparse.Namespace) -> int:
+    t = float(args.t)
+    custom = any(v is not None for v in (args.alpha, args.beta, args.gamma))
     if custom:
         base = disentangle.EVEN_HERMITE_EXPONENT
         q = disentangle.QuadExponent(
-            complex(cfg.alpha) if cfg.alpha is not None else base.a_x2,
-            cfg.beta if cfg.beta is not None else base.b_mix,
-            cfg.gamma if cfg.gamma is not None else base.c_p2,
+            complex(args.alpha) if args.alpha is not None else base.a_x2,
+            args.beta if args.beta is not None else base.b_mix,
+            args.gamma if args.gamma is not None else base.c_p2,
         )
-        form = disentangle.disentangle_ode(q, t, cfg.steps)
+        form = disentangle.disentangle_ode(q, t, args.steps)
         route = "rk4"
     else:
         form = disentangle.disentangle_closed(t)
@@ -269,11 +232,11 @@ def _cmd_disentangle(cfg: CliConfig) -> int:
     text = "\n".join(
         [f"f = {_fmt_complex(form.f)}", f"g = {_fmt_complex(form.g)}", f"h = {_fmt_complex(form.h)}"]
     )
-    _emit(text if cfg.output == "text" else json.dumps(payload, sort_keys=True), cfg.out_path)
+    _emit(text if args.output == "text" else json.dumps(payload, sort_keys=True), args.out_path)
     return 0
 
 
-def _suite_config(cfg: CliConfig) -> harness.SuiteConfig:
+def _suite_config(args: argparse.Namespace) -> harness.SuiteConfig:
     suite = harness.SuiteConfig()
     path = os.environ.get(CONFIG_ENV_VAR)
     if path:
@@ -289,18 +252,18 @@ def _suite_config(cfg: CliConfig) -> harness.SuiteConfig:
         suite = replace(suite, **overrides)
         if bessel_over:
             suite = replace(suite, bessel=bessel.BesselEvalConfig(**bessel_over))
-    if cfg.filter != "*":
-        suite = replace(suite, filter=cfg.filter)
-    if cfg.seed is not None:
-        suite = replace(suite, seed=cfg.seed)
+    if args.filter is not None:
+        suite = replace(suite, filter=args.filter)
+    if args.seed is not None:
+        suite = replace(suite, seed=args.seed)
     return suite
 
 
-def _cmd_verify(cfg: CliConfig) -> int:
-    report = harness.run_suite(_suite_config(cfg))
-    if cfg.output == "json":
+def _cmd_verify(args: argparse.Namespace) -> int:
+    report = harness.run_suite(_suite_config(args))
+    if args.output == "json":
         text = harness.report_serialize(report).rstrip("\n")
-    elif cfg.output == "csv":
+    elif args.output == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(["name", "pass", "exact", "abs_err", "tolerance"])
@@ -317,53 +280,49 @@ def _cmd_verify(cfg: CliConfig) -> int:
             f"{report.counts['pass']}/{report.counts['pass'] + report.counts['fail']} checks passed"
         )
         text = "\n".join(lines)
-    _emit(text, cfg.out_path)
+    _emit(text, args.out_path)
     return 0 if report.counts["fail"] == 0 else 1
 
 
-def _cmd_table(cfg: CliConfig) -> int:
-    if cfg.subcommand == "hermite":
-        family = polyfam.hermite_recurrence(cfg.n_max)
-        labels = [f"H_{n}" for n in range(cfg.n_max + 1)]
+def _cmd_table(args: argparse.Namespace) -> int:
+    if args.target == "hermite":
+        family = polyfam.hermite_recurrence(args.n_max)
+        labels = [f"H_{n}" for n in range(args.n_max + 1)]
     else:
-        family = polyfam.laguerre_recurrence(cfg.n_max, cfg.alpha)
-        labels = [f"L_{n}^({cfg.alpha})" for n in range(cfg.n_max + 1)]
-    rows = [(n, labels[n], family[n]) for n in range(cfg.n_max + 1)]
-    if cfg.output == "csv":
+        family = polyfam.laguerre_recurrence(args.n_max, args.alpha)
+        labels = [f"L_{n}^({args.alpha})" for n in range(args.n_max + 1)]
+    rows = [(n, labels[n], family[n]) for n in range(args.n_max + 1)]
+    if args.output == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf)
-        writer.writerow(["n"] + [f"c{k}" for k in range(cfg.n_max + 1)])
+        writer.writerow(["n"] + [f"c{k}" for k in range(args.n_max + 1)])
         for n, _, poly in rows:
-            writer.writerow([n] + [str(poly.coeff(k)) for k in range(cfg.n_max + 1)])
+            writer.writerow([n] + [str(poly.coeff(k)) for k in range(args.n_max + 1)])
         text = buf.getvalue().rstrip("\n")
-    elif cfg.output == "json":
+    elif args.output == "json":
         payload = [_poly_payload(n, poly) for n, _, poly in rows]
         text = json.dumps(payload, sort_keys=True)
     else:
         text = "\n".join(f"{label} = {format_poly(poly)}" for _, label, poly in rows)
-    _emit(text, cfg.out_path)
+    _emit(text, args.out_path)
     return 0
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    cfg = _config_from_args(args)
+    handler = {
+        "eval": _cmd_eval,
+        "sum": _cmd_sum,
+        "disentangle": _cmd_disentangle,
+        "verify": _cmd_verify,
+        "table": _cmd_table,
+    }[args.command]
     try:
-        if cfg.command == "eval":
-            return _cmd_eval(cfg)
-        if cfg.command == "sum":
-            return _cmd_sum(cfg)
-        if cfg.command == "disentangle":
-            return _cmd_disentangle(cfg)
-        if cfg.command == "verify":
-            return _cmd_verify(cfg)
-        if cfg.command == "table":
-            return _cmd_table(cfg)
+        return handler(args)
     except (WeylfunError, ValueError, ZeroDivisionError) as exc:
         print(f"error[{type(exc).__name__}]: {exc}", file=sys.stderr)
         return 1
-    raise AssertionError(f"unhandled command {cfg.command!r}")
 
 
 def entry() -> None:

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from typing import Mapping, Union
 
 from .algebra import GR_ZERO, GaussRational, ScalarLike, UniPoly, as_gauss
+from .algebra import _scaled, _terms_add, _terms_from, _terms_neg, _terms_sum, _wrap
 from .errors import NonConvergenceError, NotCentralError
 
 # (-i)**m cycles with period 4
@@ -22,22 +23,10 @@ _NEG_I_POW = (
 )
 
 
-def _normalized(terms) -> dict:
-    out = {}
-    for key, c in terms.items() if isinstance(terms, Mapping) else terms:
-        j, k = key
-        if j < 0 or k < 0:
-            raise ValueError(f"exponents must be nonnegative, got {key}")
-        g = as_gauss(c)
-        if g is NotImplemented:
-            raise TypeError(f"bad coefficient {c!r}")
-        if key in out:
-            g = out[key] + g
-        if g.is_zero():
-            out.pop(key, None)
-        else:
-            out[key] = g
-    return out
+def _check_exponents(key) -> None:
+    j, k = key
+    if j < 0 or k < 0:
+        raise ValueError(f"exponents must be nonnegative, got {key}")
 
 
 class WeylOp:
@@ -46,7 +35,7 @@ class WeylOp:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping = ()):
-        self._terms = _normalized(terms)
+        self._terms = _terms_from(terms, _check_exponents)
 
     @classmethod
     def x(cls) -> "WeylOp":
@@ -83,38 +72,23 @@ class WeylOp:
     def __add__(self, other):
         if not isinstance(other, WeylOp):
             return NotImplemented
-        out = dict(self._terms)
-        for key, c in other._terms.items():
-            s = out.get(key, GR_ZERO) + c
-            if s.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = s
-        return WeylOp(out)
+        return _wrap(WeylOp, _terms_add(self._terms, other._terms))
 
     def __sub__(self, other):
         if not isinstance(other, WeylOp):
             return NotImplemented
-        return self + (-other)
+        return _wrap(WeylOp, _terms_add(self._terms, _terms_neg(other._terms)))
 
     def __neg__(self):
-        return WeylOp({key: -c for key, c in self._terms.items()})
+        return _wrap(WeylOp, _terms_neg(self._terms))
 
     def __mul__(self, other):
         if isinstance(other, WeylOp):
             return _product(self, other)
-        g = as_gauss(other)
-        if g is NotImplemented:
-            return NotImplemented
-        if g.is_zero():
-            return WeylOp()
-        return WeylOp({key: c * g for key, c in self._terms.items()})
+        return _scaled(WeylOp, self._terms, other)
 
     def __rmul__(self, other):
-        g = as_gauss(other)
-        if g is NotImplemented:
-            return NotImplemented
-        return self * g
+        return _scaled(WeylOp, self._terms, other)
 
     def __pow__(self, n: int) -> "WeylOp":
         if not isinstance(n, int) or n < 0:
@@ -153,17 +127,15 @@ def _product(a: WeylOp, b: WeylOp) -> WeylOp:
     # x^j1 p^k1 * x^j2 p^k2: commute the p^k1 block through x^j2 one x at a
     # time via p^k x = x p^k - i k p^(k-1); the iterated rule collapses to
     # sum_m (-i)^m m! C(k1,m) C(j2,m) x^(j1+j2-m) p^(k1+k2-m).
-    out: dict = {}
-    for (j1, k1), c1 in a._terms.items():
-        for (j2, k2), c2 in b._terms.items():
-            c = c1 * c2
-            for m in range(min(k1, j2) + 1):
-                w = math.comb(k1, m) * math.comb(j2, m) * math.factorial(m)
-                key = (j1 + j2 - m, k1 + k2 - m)
-                term = c * (_NEG_I_POW[m % 4] * w)
-                s = out.get(key)
-                out[key] = term if s is None else s + term
-    return WeylOp(out)
+    def terms():
+        for (j1, k1), c1 in a._terms.items():
+            for (j2, k2), c2 in b._terms.items():
+                c = c1 * c2
+                for m in range(min(k1, j2) + 1):
+                    w = math.comb(k1, m) * math.comb(j2, m) * math.factorial(m)
+                    yield (j1 + j2 - m, k1 + k2 - m), c * (_NEG_I_POW[m % 4] * w)
+
+    return _wrap(WeylOp, _terms_sum(terms()))
 
 
 def commutator(a: WeylOp, b: WeylOp) -> WeylOp:

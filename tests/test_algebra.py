@@ -169,6 +169,8 @@ def test_shifted_mixed_offsets_rejected():
     b = ShiftedPoly(Fraction(1, 3), {0: 1})
     with pytest.raises(ValueError):
         a + b
+    with pytest.raises(ValueError):
+        a - b
 
 
 def test_without_offset_requires_nonnegative_exponents():
@@ -176,6 +178,38 @@ def test_without_offset_requires_nonnegative_exponents():
     assert good.without_offset() == UniPoly({2: 1, 0: -3})
     with pytest.raises(RuntimeError):
         ShiftedPoly(Fraction(1, 2), {-1: 1}).without_offset()
+
+
+# -------------------------------------------------------------- term maps
+
+def test_cancelling_poly_arithmetic_stores_no_zero():
+    a = UniPoly({2: 1, 1: 3, 0: 1})
+    total = a + UniPoly({2: -1, 1: 3})
+    assert dict(total.terms()) == {1: GaussRational(6), 0: GaussRational(1)}
+    assert total.degree == 1
+    assert (a - a).terms() == () and (a - a).degree == -1
+    product = UniPoly({1: 1, 0: 1}) * UniPoly({1: 1, 0: -1})  # x^2 - 1
+    assert dict(product.terms()) == {2: GaussRational(1), 0: GaussRational(-1)}
+    assert (a * 0).terms() == ()
+
+
+def test_cancelling_shifted_arithmetic_stores_no_zero():
+    half = Fraction(1, 2)
+    a = ShiftedPoly(half, {2: 1, 0: -3})
+    b = ShiftedPoly(half, {2: -1, -1: 2})
+    assert dict((a + b).terms()) == {0: GaussRational(-3), -1: GaussRational(2)}
+    assert (a - a).terms() == () and (a - a).is_zero()
+    assert (a + (-a)).terms() == ()
+    assert (a * 0).terms() == () and (a * 0).alpha == half
+
+
+def test_constructor_errors_keep_their_types():
+    with pytest.raises(TypeError):
+        UniPoly({1.5: 1})
+    with pytest.raises(TypeError):
+        UniPoly({1: 1.5})
+    with pytest.raises(TypeError):
+        ShiftedPoly(Fraction(1, 2), {0: 1.5})
 
 
 # ------------------------------------------------------------ binom_shifted

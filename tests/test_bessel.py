@@ -81,6 +81,12 @@ def test_integral_auto_doubles_until_stable():
     assert abs(bessel.j_integral_auto(6, 10.0) - want) <= 1e-13
 
 
+def test_integral_auto_raises_at_node_cap():
+    # the trapezoid sum needs more than 4096 nodes at x = 5000; J_0(5000) = -0.00665
+    with pytest.raises(AccuracyError):
+        bessel.j_integral_auto(0, 5000.0)
+
+
 # --------------------------------------------------------------- miller
 
 def test_miller_matches_series_small_x():

@@ -52,6 +52,14 @@ def test_eval_bessel_methods_agree(capsys, method):
     assert float(out) == pytest.approx(0.23208767214421472, abs=1e-12)
 
 
+def test_eval_bessel_integral_unconverged_is_an_error(capsys):
+    code, out, err = run_cli(
+        capsys, "eval", "bessel", "--n", "0", "--x", "5000", "--method", "integral"
+    )
+    assert code == 1
+    assert out == "" and "AccuracyError" in err
+
+
 def test_eval_bessel_negative_order(capsys):
     code, out, _ = run_cli(capsys, "eval", "bessel", "--n", "-1", "--x", "1.0")
     code2, out2, _ = run_cli(capsys, "eval", "bessel", "--n", "1", "--x", "1.0")

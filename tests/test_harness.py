@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -41,19 +42,32 @@ def test_run_check_unknown_param():
 
 
 def test_pass_invariant_encoding():
-    for name in ("weyl_commutator_table", "bessel_addition"):
+    names = ("weyl_commutator_table", "bessel_addition", "bessel_derivative_vs_finite_difference")
+    for name in names:
         c = run_check(name)
         if c.exact:
             assert c.passed == (c.abs_err == 0.0)
         else:
             assert c.passed == (c.abs_err <= c.tolerance)
+            # neither numeric check scales its errors, so the reported pair sets abs_err
+            assert c.abs_err == abs(c.lhs - c.rhs)
         assert c.abs_err >= 0.0
+
+
+def test_numeric_result_fails_on_nan():
+    c = harness._numeric_result("p", {}, [(float("nan"), 0.0)], 1e-12)
+    assert not c.passed and not math.isfinite(c.abs_err)
+    c = harness._numeric_result("p", {}, [(1.0, 1.0), (0.0, float("nan")), (2.0, 2.0)], 1e-12)
+    assert not c.passed and not math.isfinite(c.abs_err)
 
 
 def test_suite_all_pass_and_counts():
     report = run_suite()
     assert report.counts["fail"] == 0
     assert report.counts["pass"] == len(report.checks) == len(harness.check_names())
+    for c in report.checks:
+        assert math.isfinite(c.abs_err), c.name
+        assert c.passed == (c.abs_err <= c.tolerance), c.name
 
 
 def test_suite_filter():

@@ -176,6 +176,24 @@ def test_bch_prefactor_not_central():
         central_bch_prefactor(X2, P)
 
 
+def test_cancelling_operator_arithmetic_stores_no_zero():
+    # (x + p)(x - p) = x^2 - xp + (xp - i) - p^2: the xp terms cancel inside the product
+    product = (X + P) * (X - P)
+    assert dict(product.terms()) == {
+        (2, 0): GaussRational(1), (0, 2): GaussRational(-1), (0, 0): -I
+    }
+    assert (X2 - X2).terms() == () and (X2 + (-X2)).is_zero()
+    assert dict((X2 + P - X2).terms()) == {(0, 1): GaussRational(1)}
+    assert (X * 0).terms() == ()
+
+
+def test_constructor_rejects_negative_exponent():
+    with pytest.raises(ValueError):
+        WeylOp({(-1, 0): 1})
+    with pytest.raises(TypeError):
+        WeylOp({(1, 0): 1.5})
+
+
 # ----------------------------------------------------------- representation
 
 def test_apply_examples():
