@@ -7,26 +7,14 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 from .errors import AccuracyError, DomainError
 
 _I_POW = (1 + 0j, 1j, -1 + 0j, -1j)  # i**n cycles with period 4
 
 
-@dataclass(frozen=True)
-class BesselEvalConfig:
-    series_tol: float = 1e-16
-    quad_nodes: int = 64
-    miller_pad: int = 20
-
-    def __post_init__(self):
-        if not self.series_tol > 0:
-            raise ValueError("series_tol must be positive")
-        if self.quad_nodes < 8 or self.quad_nodes % 2:
-            raise ValueError("quad_nodes must be even and >= 8")
-        if self.miller_pad < 10:
-            raise ValueError("miller_pad must be >= 10")
+# j_miller holds one float per order from its start index down to 0
+_MILLER_MAX_START = 100_000
 
 
 def j_series(n: int, x: float, tol: float = 1e-16) -> float:
@@ -110,15 +98,18 @@ def j_miller(n_max: int, x: float, pad: int = 20) -> list:
     Upward recurrence is unstable for orders above x, so recurse downward
     from n_max + pad + ceil(x) with trial values (1, 0) and normalize with
     J_0 + 2 sum_{k>=1} J_{2k} = 1, the t = 1 slice of the generating
-    function.
+    function.  Raises DomainError when that start index is above
+    _MILLER_MAX_START, before anything is allocated.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     if not math.isfinite(x) or x < 0:
         raise DomainError(f"j_miller requires finite x >= 0, got {x!r}")
+    start = n_max + pad + math.ceil(x)
+    if start > _MILLER_MAX_START:
+        raise DomainError(f"j_miller start order {start} is above {_MILLER_MAX_START}")
     if x == 0.0:
         return [1.0] + [0.0] * n_max
-    start = n_max + pad + math.ceil(x)
     vals = [0.0] * (start + 2)
     vals[start] = 1.0
     for k in range(start, 0, -1):

@@ -245,13 +245,10 @@ def _suite_config(args: argparse.Namespace) -> harness.SuiteConfig:
                 overrides = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise WeylfunError(f"cannot load config {path!r}: {exc}") from exc
-        bessel_over = overrides.pop("bessel", None)
         unknown = set(overrides) - set(harness.SuiteConfig.__dataclass_fields__)
         if unknown:
             raise WeylfunError(f"unknown config fields in {path!r}: {sorted(unknown)}")
         suite = replace(suite, **overrides)
-        if bessel_over:
-            suite = replace(suite, bessel=bessel.BesselEvalConfig(**bessel_over))
     if args.filter is not None:
         suite = replace(suite, filter=args.filter)
     if args.seed is not None:

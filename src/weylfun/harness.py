@@ -14,7 +14,7 @@ import inspect
 import json
 import math
 import random
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
 
@@ -25,13 +25,8 @@ from .errors import NotCentralError, UnknownCheckError
 
 @dataclass(frozen=True)
 class SuiteConfig:
-    suite_name: str = "weylfun-identities"
     filter: str = "*"
     seed: int = 20260801
-    expand_half_width: float = 10.0
-    expand_nodes: int = 400
-    rk4_steps: int = 10_000
-    bessel: bessel.BesselEvalConfig = field(default_factory=bessel.BesselEvalConfig)
 
 
 @dataclass(frozen=True)
@@ -462,13 +457,12 @@ def check_psi_ladder_relations(cfg, n_max=10, tol=1e-10):
 
 @_register
 def check_psi_expansion_orthonormality(cfg, tol=1e-8):
-    coeffs = polyfam.hermite_expand(
-        lambda x: polyfam.psi_eval(3, x), 8, cfg.expand_half_width, cfg.expand_nodes
-    )
+    half_width, nodes = 10.0, 400
+    coeffs = polyfam.hermite_expand(lambda x: polyfam.psi_eval(3, x), 8, half_width, nodes)
     pairs = [(c, 1.0 if n == 3 else 0.0) for n, c in enumerate(coeffs)]
     return _numeric_result(
         "psi_expansion_orthonormality",
-        {"n_max": 8, "half_width": cfg.expand_half_width, "nodes": cfg.expand_nodes},
+        {"n_max": 8, "half_width": half_width, "nodes": nodes},
         pairs,
         _f(tol),
     )
@@ -534,13 +528,12 @@ _BESSEL_XS = (0.5, 1.0, 5.0, 10.0)
 
 @_register
 def check_bessel_cross_method(cfg, n_max=10, tol=1e-12):
-    bc = cfg.bessel
     pairs = []
     for x in _BESSEL_XS:
-        miller = bessel.j_miller(_i(n_max), x, bc.miller_pad)
+        miller = bessel.j_miller(_i(n_max), x)
         for n in range(_i(n_max) + 1):
-            s = bessel.j_series(n, x, bc.series_tol)
-            q = bessel.j_integral_auto(n, x, bc.quad_nodes)
+            s = bessel.j_series(n, x)
+            q = bessel.j_integral_auto(n, x)
             pairs.append((s, q))
             pairs.append((s, miller[n]))
     return _numeric_result(
@@ -669,9 +662,10 @@ def check_disentangle_closed_form_residual(cfg, samples=100, tol=1e-12):
 
 @_register
 def check_disentangle_rk4_vs_closed(cfg, t_end=0.2, tol=1e-10):
+    steps = 10_000
     pairs = []
     traj = disentangle.disentangle_ode_trajectory(
-        disentangle.EVEN_HERMITE_EXPONENT, _f(t_end), cfg.rk4_steps
+        disentangle.EVEN_HERMITE_EXPONENT, _f(t_end), steps
     )
     for t, f, g, h in traj:
         form = disentangle.disentangle_closed(t)
@@ -680,7 +674,7 @@ def check_disentangle_rk4_vs_closed(cfg, t_end=0.2, tol=1e-10):
         pairs.append((h, form.h))
     return _numeric_result(
         "disentangle_rk4_vs_closed",
-        {"t_end": t_end, "steps": cfg.rk4_steps},
+        {"t_end": t_end, "steps": steps},
         pairs,
         _f(tol),
     )
@@ -721,7 +715,7 @@ def check_disentangle_initial_condition(cfg):
     ]
     bad = 0
     for q in cases:
-        form = disentangle.disentangle_ode(q, 0.0, cfg.rk4_steps)
+        form = disentangle.disentangle_ode(q, 0.0)
         if form.f != 0 or form.g != 0 or form.h != 0:
             bad += 1
     closed0 = disentangle.disentangle_closed(0.0)
@@ -762,7 +756,7 @@ def run_suite(config: SuiteConfig | None = None) -> Report:
         "fail": sum(1 for c in checks if not c.passed),
     }
     return Report(
-        suite_name=cfg.suite_name,
+        suite_name="weylfun-identities",
         timestamp=datetime.now(timezone.utc).isoformat(timespec="seconds"),
         checks=tuple(checks),
         counts=counts,

@@ -9,6 +9,7 @@ the Hermite generating-function variable, order_alpha the Laguerre order.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -166,17 +167,29 @@ def hermite_addition_check(n: int, x0, y0) -> tuple:
     return lhs, GaussRational(rhs.a)
 
 
+def _hermite_seq(x: complex, h0: complex):
+    """Yield h0 H_n(x) / sqrt(2^n n!) for n = 0, 1, ... by the normalized recurrence.
+
+    h_{n+1} = sqrt(2/(n+1)) x h_n - sqrt(n/(n+1)) h_{n-1} is the raising relation
+    a+ psi_n = sqrt(n+1) psi_{n+1}; h0 = pi^(-1/4) e^(-x^2/2) gives psi_n(x).  H_n
+    itself overflows floats near n = 280; for real x these stay below 1.09 e^(x^2/2) |h0|.
+    """
+    prev, cur = 0j, h0
+    for n in itertools.count():
+        yield cur
+        prev, cur = cur, math.sqrt(2 / (n + 1)) * x * cur - math.sqrt(n / (n + 1)) * prev
+
+
 def hermite_genfun_partial(gen_alpha: complex, x0: complex, n_terms: int) -> complex:
     """Partial sum sum_{n<=N} H_n(x) gen_alpha^n / n! (compare e^(-a^2+2ax))."""
     if n_terms < 0:
         raise ValueError("n_terms must be >= 0")
-    hs = _hermite_upto(n_terms)
     a = complex(gen_alpha)
     acc = 0j
-    weight = 1.0 + 0j  # a^n / n!
-    for n in range(n_terms + 1):
-        acc += weight * hs[n].evaluate(complex(x0))
-        weight *= a / (n + 1)
+    weight = 1.0 + 0j  # a^n sqrt(2^n n!) / n!
+    for n, hn in zip(range(n_terms + 1), _hermite_seq(complex(x0), 1.0)):
+        acc += weight * hn
+        weight *= a * math.sqrt(2 / (n + 1))
     return acc
 
 
@@ -184,13 +197,13 @@ def even_hermite_partial(t: complex, x0: complex, n_terms: int) -> complex:
     """Partial sum sum_{n<=N} t^n/n! H_{2n}(x); meaningful for |t| < 1/4."""
     if n_terms < 0:
         raise ValueError("n_terms must be >= 0")
-    hs = _hermite_upto(2 * n_terms)
     tt = complex(t)
     acc = 0j
-    weight = 1.0 + 0j
-    for n in range(n_terms + 1):
-        acc += weight * hs[2 * n].evaluate(complex(x0))
-        weight *= tt / (n + 1)
+    weight = 1.0 + 0j  # t^n sqrt(4^n (2n)!) / n!
+    evens = itertools.islice(_hermite_seq(complex(x0), 1.0), 0, None, 2)
+    for n, h2n in zip(range(n_terms + 1), evens):
+        acc += weight * h2n
+        weight *= 2 * tt * math.sqrt((2 * n + 1) * (2 * n + 2)) / (n + 1)
     return acc
 
 
@@ -205,29 +218,31 @@ def even_hermite_closed(t: complex, x0: complex) -> complex:
 
 # --------------------------------------------------------- psi functions
 
-def _psi_norm(n: int) -> float:
-    # pi^(-1/4) / sqrt(2^n n!), computed in log space to stay finite
-    return math.exp(-0.25 * math.log(math.pi) - 0.5 * (n * math.log(2.0) + math.lgamma(n + 1)))
+def _psi_seq(x: complex):
+    """Yield psi_0(x), psi_1(x), ...: the Hermite sequence from psi_0 = pi^(-1/4) e^(-x^2/2)."""
+    return _hermite_seq(x, math.pi ** -0.25 * cmath.exp(-x * x / 2))
+
+
+def _psi_pair(n: int, x: complex) -> tuple:
+    """(psi_{n-1}(x), psi_n(x)) with psi_{-1} = 0, holding two values at a time."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    prev = cur = 0j
+    for _, psi in zip(range(n + 1), _psi_seq(x)):
+        prev, cur = cur, psi
+    return prev, cur
 
 
 def psi_eval(n: int, x0: complex) -> complex:
     """Normalized oscillator function pi^(-1/4) (2^n n!)^(-1/2) e^(-x^2/2) H_n(x)."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    x = complex(x0)
-    h = _hermite_upto(n)[n]
-    return _psi_norm(n) * cmath.exp(-x * x / 2) * h.evaluate(x)
+    return _psi_pair(n, complex(x0))[1]
 
 
 def psi_derivative(n: int, x0: complex) -> complex:
-    """Analytic derivative via H_n' = 2n H_{n-1}."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    """Analytic derivative psi_n' = sqrt(2n) psi_{n-1} - x psi_n, from H_n' = 2n H_{n-1}."""
     x = complex(x0)
-    hs = _hermite_upto(n)
-    hn = hs[n].evaluate(x)
-    hprev = hs[n - 1].evaluate(x) if n >= 1 else 0j
-    return _psi_norm(n) * cmath.exp(-x * x / 2) * (2 * n * hprev - x * hn)
+    prev, cur = _psi_pair(n, x)
+    return math.sqrt(2 * n) * prev - x * cur
 
 
 def hermite_expand(
@@ -244,8 +259,6 @@ def hermite_expand(
         raise ValueError("half_width must be positive")
     if nodes < 2:
         raise ValueError("at least 2 quadrature nodes are required")
-    hs = _hermite_upto(n_max)
-    norms = [_psi_norm(n) for n in range(n_max + 1)]
     h = 2.0 * half_width / (nodes - 1)
     coeffs = [0j] * (n_max + 1)
     for i in range(nodes):
@@ -254,9 +267,8 @@ def hermite_expand(
         fx = complex(f(x))
         if fx == 0:
             continue
-        gauss = math.exp(-x * x / 2)
-        for n in range(n_max + 1):
-            coeffs[n] += w * fx * (norms[n] * gauss * hs[n].evaluate(complex(x)))
+        for n, psi in zip(range(n_max + 1), _psi_seq(complex(x))):
+            coeffs[n] += w * fx * psi
     return coeffs
 
 
@@ -307,11 +319,13 @@ def laguerre_genfun_partial(t: complex, x0: complex, order_alpha, n_terms: int) 
     tt = complex(t)
     if abs(tt) >= 1:
         raise DomainError(f"generating function requires |t| < 1, got |t| = {abs(tt)}")
-    ls = laguerre_recurrence(n_terms, order_alpha)
+    a = float(Fraction(order_alpha))
     x = complex(x0)
     acc = 0j
     tp = 1.0 + 0j
+    prev, cur = 0j, 1.0 + 0j  # L_{n-1}^a(x), L_n^a(x) by the laguerre_recurrence step, in floats
     for n in range(n_terms + 1):
-        acc += tp * ls[n].evaluate(x)
+        acc += tp * cur
         tp *= tt
+        prev, cur = cur, ((2 * n + a + 1 - x) * cur - (n + a) * prev) / (n + 1)
     return acc

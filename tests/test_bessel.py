@@ -111,15 +111,12 @@ def test_miller_rejects_negative_x():
         bessel.j_miller(3, -1.0)
 
 
-def test_config_validation():
-    with pytest.raises(ValueError):
-        bessel.BesselEvalConfig(series_tol=0.0)
-    with pytest.raises(ValueError):
-        bessel.BesselEvalConfig(quad_nodes=9)
-    with pytest.raises(ValueError):
-        bessel.BesselEvalConfig(miller_pad=5)
-    cfg = bessel.BesselEvalConfig()
-    assert cfg.quad_nodes == 64 and cfg.miller_pad == 20
+def test_miller_rejects_a_start_above_the_limit():
+    # the start index n_max + pad + ceil(x) sets the length of the work list
+    with pytest.raises(DomainError):
+        bessel.j_miller(3, 1e12)
+    with pytest.raises(DomainError):
+        bessel.j_miller(10**9, 0.0)
 
 
 # --------------------------------------------------------- signed orders

@@ -60,6 +60,14 @@ def test_eval_bessel_integral_unconverged_is_an_error(capsys):
     assert out == "" and "AccuracyError" in err
 
 
+def test_eval_bessel_miller_huge_x_is_an_error(capsys):
+    code, out, err = run_cli(
+        capsys, "eval", "bessel", "--n", "0", "--x", "1e12", "--method", "miller"
+    )
+    assert code == 1
+    assert out == "" and "DomainError" in err
+
+
 def test_eval_bessel_negative_order(capsys):
     code, out, _ = run_cli(capsys, "eval", "bessel", "--n", "-1", "--x", "1.0")
     code2, out2, _ = run_cli(capsys, "eval", "bessel", "--n", "1", "--x", "1.0")
@@ -172,11 +180,13 @@ def test_verify_env_config(capsys, tmp_path, monkeypatch):
 
 def test_verify_env_config_bad_field(capsys, tmp_path, monkeypatch):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"not_a_field": 3}))
     monkeypatch.setenv("WEYLFUN_CONFIG", str(cfg))
-    code, _, err = run_cli(capsys, "verify")
-    assert code == 1
-    assert "not_a_field" in err
+    # rk4_steps and bessel were config fields once; the checks now fix those values
+    for field, value in (("not_a_field", 3), ("rk4_steps", 100), ("bessel", {"quad_nodes": 64})):
+        cfg.write_text(json.dumps({field: value}))
+        code, _, err = run_cli(capsys, "verify")
+        assert code == 1
+        assert field in err
 
 
 def test_table_hermite_csv(capsys):

@@ -74,6 +74,8 @@ def test_suite_filter():
     report = run_suite(SuiteConfig(filter="hermite_*"))
     names = [c.name for c in report.checks]
     assert names and all(n.startswith("hermite_") for n in names)
+    assert report.suite_name == "weylfun-identities"
+    assert report.config == {"filter": "hermite_*", "seed": 20260801}
 
 
 def test_exact_checks_have_zero_tolerance():

@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -108,9 +109,10 @@ def test_hermite_genfun_at_zero():
 
 @pytest.mark.parametrize("x", [0.0, 1.0])
 def test_hermite_genfun_partial_converges(x):
-    got = polyfam.hermite_genfun_partial(0.5, x, 40)
     want = cmath.exp(-0.25 + x)
-    assert abs(got - want) <= 1e-12
+    # H_n alone overflows floats near n = 280; the sum must not
+    for n_terms in (40, 400):
+        assert abs(polyfam.hermite_genfun_partial(0.5, x, n_terms) - want) <= 1e-12
 
 
 def test_even_hermite_trivial_t():
@@ -125,9 +127,9 @@ def test_even_hermite_closed_value():
 
 
 def test_even_hermite_partial_matches_closed():
-    got = polyfam.even_hermite_partial(0.1, 1.0, 80)
     want = polyfam.even_hermite_closed(0.1, 1.0)
-    assert abs(got - want) <= 1e-10
+    for n_terms in (80, 300):  # H_600 overflows floats
+        assert abs(polyfam.even_hermite_partial(0.1, 1.0, n_terms) - want) <= 1e-10
 
 
 def test_even_hermite_singularity():
@@ -169,6 +171,40 @@ def test_psi_ladder_relations(x):
         down = (x * pn + dn) * inv
         expected = math.sqrt(n) * polyfam.psi_eval(n - 1, x) if n else 0.0
         assert abs(down - expected) <= 1e-10
+
+
+def psi_ref(n, x):
+    """pi^(-1/4) (2^n n!)^(-1/2) e^(-x^2/2) H_n(x) at 50 digits."""
+    with mpmath.workdps(50):
+        x = mpmath.mpf(x)
+        norm = mpmath.pi ** -0.25 / mpmath.sqrt(2 ** n * mpmath.factorial(n))
+        return norm * mpmath.exp(-x * x / 2) * mpmath.hermite(n, x)
+
+
+@pytest.mark.parametrize("n", list(range(11)) + [30, 60, 100, 150, 200])
+def test_psi_against_mpmath(n):
+    for x in (-10.0, -6.5, -2.5, -0.3, 0.0, 0.7, 1.0, 2.5, 5.0, 8.0, 10.0):
+        ref = psi_ref(n, x)
+        assert abs(polyfam.psi_eval(n, x) - complex(ref)) <= 1e-12 * (1 + abs(ref))
+        # psi_n' = sqrt(n/2) psi_{n-1} - sqrt((n+1)/2) psi_{n+1}: not the identity the code uses
+        down = mpmath.sqrt(mpmath.mpf(n) / 2) * psi_ref(n - 1, x) if n else 0
+        dref = down - mpmath.sqrt(mpmath.mpf(n + 1) / 2) * psi_ref(n + 1, x)
+        assert abs(polyfam.psi_derivative(n, x) - complex(dref)) <= 1e-12 * (1 + abs(dref))
+
+
+def test_psi_high_order_value():
+    assert polyfam.psi_eval(100, 8.0).real == pytest.approx(0.225298728387552, abs=1e-13)
+
+
+def test_psi_eval_holds_constant_memory():
+    tracemalloc.start()
+    try:
+        polyfam.psi_eval(5000, 1.5)
+        polyfam.psi_derivative(5000, 1.5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16_384
 
 
 def test_hermite_expand_orthonormality():
@@ -252,6 +288,58 @@ def test_laguerre_genfun_values():
     got = polyfam.laguerre_genfun_partial(0.3, 0.0, 2, 60)
     assert abs(got - 0.7 ** -3) <= 1e-10
     assert polyfam.laguerre_genfun_partial(0.0, 1.0, 0, 5) == pytest.approx(1.0)
+
+
+def laguerre_ref(n, alpha, x):
+    """Explicit sum sum_k (-1)^k C(n+a, n-k) x^k / k! at 40 digits."""
+    a = mpmath.mpf(alpha.numerator) / alpha.denominator
+    x = mpmath.mpf(x)
+    return mpmath.fsum(
+        (-1) ** k * mpmath.binomial(n + a, n - k) * x ** k / mpmath.factorial(k)
+        for k in range(n + 1)
+    )
+
+
+def test_partial_sums_against_mpmath():
+    # points from the ranges the numeric_eval benchmark draws, edges included
+    with mpmath.workdps(40):
+        cases = []
+        for a, x, n in ((0.8, 2.0, 60), (-0.8, 2.0, 60), (0.35, -1.2, 25)):
+            ref = mpmath.fsum(
+                mpmath.mpf(a) ** k / mpmath.factorial(k) * mpmath.hermite(k, x)
+                for k in range(n + 1)
+            )
+            cases.append((polyfam.hermite_genfun_partial(a, x, n), ref))
+        for t, x, n in ((-0.2, 2.0, 40), (0.2, -2.0, 40), (0.05, 0.7, 10)):
+            ref = mpmath.fsum(
+                mpmath.mpf(t) ** k / mpmath.factorial(k) * mpmath.hermite(2 * k, x)
+                for k in range(n + 1)
+            )
+            cases.append((polyfam.even_hermite_partial(t, x, n), ref))
+        for t, x, alpha, n in ((0.6, 6.0, "5", 60), (0.6, 6.0, "0", 60),
+                               (-0.5, 0.1, "-1/2", 20), (0.3, 3.0, "3/2", 44)):
+            alpha = Fraction(alpha)
+            ref = mpmath.fsum(
+                mpmath.mpf(t) ** k * laguerre_ref(k, alpha, x) for k in range(n + 1)
+            )
+            cases.append((polyfam.laguerre_genfun_partial(t, x, alpha, n), ref))
+        for got, ref in cases:
+            assert abs(got - complex(ref)) <= 1e-12 * (1 + abs(ref))
+
+
+def test_float_evaluators_do_not_reach_the_exact_layer(monkeypatch):
+    def exact_layer(*args, **kwargs):
+        raise AssertionError("a float evaluator built or evaluated an exact polynomial")
+
+    monkeypatch.setattr(polyfam, "_hermite_upto", exact_layer)
+    monkeypatch.setattr(polyfam, "laguerre_recurrence", exact_layer)
+    monkeypatch.setattr(UniPoly, "evaluate", exact_layer)
+    polyfam.psi_eval(12, 0.4)
+    polyfam.psi_derivative(12, 0.4)
+    polyfam.hermite_expand(lambda x: math.exp(-x * x / 2), 6)
+    polyfam.hermite_genfun_partial(0.5, 1.0, 20)
+    polyfam.even_hermite_partial(0.1, 1.0, 20)
+    polyfam.laguerre_genfun_partial(0.3, 1.0, Fraction(1, 2), 20)
 
 
 def test_laguerre_genfun_domain():
