@@ -5,7 +5,6 @@ the package claims.
 
 from .algebra import (
     GaussRational,
-    Rational,
     ShiftedPoly,
     UniPoly,
     binom_shifted,
@@ -28,12 +27,10 @@ from .weyl import (
     Terminated,
     WeylOp,
     apply_exp_taylor,
-    apply_to_one,
     apply_to_poly,
     central_bch_prefactor,
     commutator,
     hadamard_conjugate,
-    weyl_pow,
     xp_plus_px,
 )
 
@@ -48,7 +45,6 @@ __all__ = [
     "GaussRational",
     "NonConvergenceError",
     "NotCentralError",
-    "Rational",
     "ShiftedPoly",
     "SingularityError",
     "Terminated",
@@ -57,7 +53,6 @@ __all__ = [
     "WeylOp",
     "WeylfunError",
     "apply_exp_taylor",
-    "apply_to_one",
     "apply_to_poly",
     "binom_shifted",
     "central_bch_prefactor",
@@ -65,7 +60,6 @@ __all__ = [
     "format_poly",
     "hadamard_conjugate",
     "shifted_derivative",
-    "weyl_pow",
     "xp_plus_px",
     "__version__",
 ]

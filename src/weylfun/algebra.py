@@ -11,10 +11,6 @@ from fractions import Fraction
 from itertools import chain
 from typing import Iterable, Mapping, Union
 
-# Arbitrary-precision rational scalar.  fractions.Fraction already keeps
-# denominator > 0 and gcd-reduced after every operation.
-Rational = Fraction
-
 ScalarLike = Union[int, Fraction, "GaussRational"]
 
 

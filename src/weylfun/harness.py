@@ -363,8 +363,10 @@ def check_weyl_bch_central_prefactor(cfg):
 def check_hermite_triple_equality(cfg, n_max=25):
     hs = polyfam.hermite_recurrence(_i(n_max))
     bad = 0
-    for n in range(_i(n_max) + 1):
-        if not (hs[n] == polyfam.hermite_rodrigues(n) == polyfam.hermite_operator(n)):
+    for n, power in zip(range(_i(n_max) + 1), polyfam._ladder_powers()):
+        if not (
+            hs[n] == polyfam.hermite_rodrigues(n) == polyfam._hermite_from_ladder(n, power)
+        ):
             bad += 1
     return _exact_result("hermite_triple_equality", {"n_max": n_max}, bad)
 

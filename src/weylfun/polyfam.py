@@ -83,20 +83,31 @@ def hermite_rodrigues(n: int) -> UniPoly:
     return q
 
 
-def hermite_operator(n: int) -> UniPoly:
-    """Operator route: (-i)^n (p + 2ix)^n applied to 1."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
+def _ladder_powers():
+    """Yield (p + 2ix)^n for n = 0, 1, ..., one normal-ordered product per step."""
     ladder = weyl.WeylOp({(0, 1): 1, (1, 0): GaussRational(0, 2)})  # p + 2ix
-    raw = weyl.apply_to_one(ladder ** n)
-    phase = GaussRational(0, -1) ** n
-    out = raw * phase
+    power = weyl.WeylOp.identity()
+    while True:
+        yield power
+        power = power * ladder
+
+
+def _hermite_from_ladder(n: int, power: weyl.WeylOp) -> UniPoly:
+    """(-i)^n power 1, where power is (p + 2ix)^n; an imaginary coefficient is a bug."""
+    out = weyl.apply_to_poly(power, UniPoly.one()) * GaussRational(0, -1) ** n
     for k, c in out.terms():
         if not c.is_real():
             raise RuntimeError(
                 f"imaginary coefficient {c} survived at degree {k}; operator algebra is broken"
             )
     return out
+
+
+def hermite_operator(n: int) -> UniPoly:
+    """Operator route: (-i)^n (p + 2ix)^n applied to 1."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    return _hermite_from_ladder(n, next(itertools.islice(_ladder_powers(), n, None)))
 
 
 def hermite_ode_residual(n: int) -> UniPoly:
@@ -128,35 +139,33 @@ class _Root2:
         return _Root2(self.a * c, self.b * c)
 
 
-def _eval_root2(q: UniPoly, arg: _Root2) -> _Root2:
-    acc = _Root2()
-    for k in range(q.degree, -1, -1):
-        c = q.coeff(k)
-        if not c.is_real():
-            raise ValueError("quadratic-extension evaluation needs real coefficients")
-        acc = acc * arg + _Root2(c.re)
-    return acc
+def _hermite_root2(n: int, z: _Root2) -> list:
+    """H_0(z)..H_n(z) in a + b*sqrt(2) by H_{k+1} = 2z H_k - 2k H_{k-1}."""
+    two_z = z.scaled(Fraction(2))
+    hs = [_Root2(), _Root2(Fraction(1))]  # H_{-1} (never weighted) and H_0
+    for k in range(n):
+        hs.append(two_z * hs[-1] + hs[-2].scaled(Fraction(-2 * k)))
+    return hs[1:]
 
 
 def hermite_addition_check(n: int, x0, y0) -> tuple:
     """Both sides of H_n(x+y) = 2^(-n/2) sum_k C(n,k) H_k(sqrt2 x) H_{n-k}(sqrt2 y).
 
-    The sqrt(2) arguments are handled exactly in the extension field
-    a + b*sqrt(2); the residual sqrt(2) always cancels, so both returned
-    values are real Gaussian rationals.
+    The sqrt(2) side runs the Hermite recurrence exactly in the extension
+    field a + b*sqrt(2); the residual sqrt(2) always cancels, so both
+    returned values are real Gaussian rationals.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     x0 = Fraction(x0)
     y0 = Fraction(y0)
-    hs = _hermite_upto(n)
-    lhs = hs[n].evaluate(GaussRational(x0 + y0))
+    lhs = _hermite_upto(n)[n].evaluate(GaussRational(x0 + y0))
+    hx = _hermite_root2(n, _Root2(Fraction(0), x0))
+    hy = _hermite_root2(n, _Root2(Fraction(0), y0))
 
     total = _Root2()
     for k in range(n + 1):
-        hk = _eval_root2(hs[k], _Root2(Fraction(0), x0))
-        hnk = _eval_root2(hs[n - k], _Root2(Fraction(0), y0))
-        total = total + (hk * hnk).scaled(Fraction(math.comb(n, k)))
+        total = total + (hx[k] * hy[n - k]).scaled(Fraction(math.comb(n, k)))
     if n % 2 == 0:
         pref = _Root2(Fraction(1, 2 ** (n // 2)), Fraction(0))
     else:

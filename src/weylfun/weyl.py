@@ -237,10 +237,6 @@ def apply_to_poly(w: WeylOp, q: UniPoly) -> UniPoly:
     return out
 
 
-def apply_to_one(w: WeylOp) -> UniPoly:
-    return apply_to_poly(w, UniPoly.one())
-
-
 def apply_exp_taylor(w: WeylOp, xi: ScalarLike, q: UniPoly, order: int) -> UniPoly:
     """Exact truncated Taylor action: sum_{m<=order} xi^m/m! w^m q."""
     if order < 0:
@@ -259,7 +255,3 @@ def apply_exp_taylor(w: WeylOp, xi: ScalarLike, q: UniPoly, order: int) -> UniPo
         acc = acc + powq * weight
     return acc
 
-
-def weyl_pow(w: WeylOp, n: int) -> WeylOp:
-    """n-fold product of w with itself; w**0 is the identity."""
-    return w ** n

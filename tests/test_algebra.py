@@ -25,17 +25,6 @@ def poly_st(max_degree=4):
     )
 
 
-# --------------------------------------------------------------- Rational
-
-def test_rational_is_always_normalized():
-    from weylfun.algebra import Rational
-
-    assert Rational(2, 4) == Rational(1, 2)
-    assert Rational(1, -2).denominator == 2
-    assert Rational(1, -2).numerator == -1
-    assert (Rational(3, 7) * Rational(7, 3)).denominator == 1
-
-
 # ------------------------------------------------------------ GaussRational
 
 def test_i_squared_is_minus_one():

@@ -6,9 +6,10 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from weylfun import polyfam
+from weylfun import polyfam, weyl
 from weylfun.algebra import GaussRational, UniPoly
 from weylfun.errors import DomainError, SingularityError
+from weylfun.harness import run_check
 
 
 def hermite_sum_oracle(n):
@@ -47,6 +48,32 @@ def test_hermite_triple_equality_and_oracle():
     for n in range(26):
         assert hs[n] == polyfam.hermite_rodrigues(n) == polyfam.hermite_operator(n)
         assert hs[n] == hermite_sum_oracle(n)
+
+
+@pytest.fixture
+def product_calls(monkeypatch):
+    """Count normal-ordered WeylOp products."""
+    calls = []
+    inner = weyl._product
+
+    def counted(a, b):
+        calls.append(None)
+        return inner(a, b)
+
+    monkeypatch.setattr(weyl, "_product", counted)
+    return calls
+
+
+def test_triple_check_grows_the_ladder_one_product_per_degree(product_calls):
+    result = run_check("hermite_triple_equality", {"n_max": 25})
+    assert result.passed
+    assert len(product_calls) <= 26  # rebuilding ladder**n for every n costs 325
+
+
+@pytest.mark.parametrize("n", [0, 7, 25])
+def test_hermite_operator_makes_n_products(product_calls, n):
+    assert polyfam.hermite_operator(n) == polyfam.hermite_recurrence(n)[n]
+    assert len(product_calls) == n
 
 
 def test_hermite_leading_coefficient_and_parity():
@@ -96,7 +123,7 @@ def test_addition_formula_sweep():
     pairs = [(Fraction(-3, 2), Fraction(5, 4)), (Fraction(2), Fraction(-1, 3)),
              (Fraction(0), Fraction(7, 5))]
     for x0, y0 in pairs:
-        for n in range(13):
+        for n in range(31):
             lhs, rhs = polyfam.hermite_addition_check(n, x0, y0)
             assert lhs == rhs
 

@@ -11,12 +11,10 @@ from weylfun.weyl import (
     Terminated,
     WeylOp,
     apply_exp_taylor,
-    apply_to_one,
     apply_to_poly,
     central_bch_prefactor,
     commutator,
     hadamard_conjugate,
-    weyl_pow,
     xp_plus_px,
 )
 
@@ -53,9 +51,9 @@ def test_hermite_ladder_square():
     ladder = WeylOp({(0, 1): 1, (1, 0): 2 * I})  # p + 2ix
     expected = WeylOp({(0, 2): 1, (1, 1): 4 * I, (2, 0): -4, (0, 0): 2})
     assert ladder * ladder == expected
-    assert weyl_pow(ladder, 2) == expected
-    assert weyl_pow(ladder, 0) == WeylOp.identity()
-    assert weyl_pow(ladder, 1) == ladder
+    assert ladder ** 2 == expected
+    assert ladder ** 0 == WeylOp.identity()
+    assert ladder ** 1 == ladder
 
 
 # -------------------------------------------------------------- commutators
@@ -198,8 +196,8 @@ def test_constructor_rejects_negative_exponent():
 
 def test_apply_examples():
     assert apply_to_poly(P, UniPoly.one()).is_zero()
-    ladder2 = weyl_pow(WeylOp({(0, 1): 1, (1, 0): 2 * I}), 2)
-    assert apply_to_one(ladder2) == UniPoly({2: -4, 0: 2})
+    ladder2 = WeylOp({(0, 1): 1, (1, 0): 2 * I}) ** 2
+    assert apply_to_poly(ladder2, UniPoly.one()) == UniPoly({2: -4, 0: 2})
     assert apply_to_poly(X2, UniPoly.x()) == UniPoly.monomial(3)
 
 
