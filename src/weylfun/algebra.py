@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain
+from math import gcd, lcm
 from typing import Iterable, Mapping, Union
 
 ScalarLike = Union[int, Fraction, "GaussRational"]
@@ -23,13 +24,20 @@ def _as_fraction(v) -> Fraction:
 
 
 class GaussRational:
-    """Exact complex scalar re + im*i with rational parts."""
+    """Exact complex scalar re + im*i, stored as ints (re_num + im_num*i) / den.
 
-    __slots__ = ("re", "im")
+    den > 0 and gcd(re_num, im_num, den) == 1, so equal values have equal fields.
+    Fraction appears only at the boundaries: the constructor, .re/.im and text.
+    """
+
+    __slots__ = ("_re", "_im", "_den")
 
     def __init__(self, re: int | Fraction = 0, im: int | Fraction = 0):
-        self.re = _as_fraction(re)
-        self.im = _as_fraction(im)
+        re, im = _as_fraction(re), _as_fraction(im)
+        den = lcm(re.denominator, im.denominator)
+        self._re = re.numerator * (den // re.denominator)
+        self._im = im.numerator * (den // im.denominator)
+        self._den = den
 
     @classmethod
     def from_complex(cls, z: complex) -> "GaussRational":
@@ -37,20 +45,22 @@ class GaussRational:
         z = complex(z)
         return cls(Fraction(z.real), Fraction(z.imag))
 
+    re = property(lambda self: Fraction(self._re, self._den), doc="Real part, a Fraction.")
+    im = property(lambda self: Fraction(self._im, self._den), doc="Imaginary part, a Fraction.")
+
     def is_zero(self) -> bool:
-        return not self.re and not self.im
+        return not self._re and not self._im
 
     def is_real(self) -> bool:
-        return not self.im
-
-    def conjugate(self) -> "GaussRational":
-        return GaussRational(self.re, -self.im)
+        return not self._im
 
     def __add__(self, other):
-        other = as_gauss(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return GaussRational(self.re + other.re, self.im + other.im)
+        if other.__class__ is not GaussRational:
+            other = as_gauss(other)
+            if other is NotImplemented:
+                return NotImplemented
+        d1, d2 = self._den, other._den
+        return _reduced(self._re * d2 + other._re * d1, self._im * d2 + other._im * d1, d1 * d2)
 
     __radd__ = __add__
 
@@ -58,25 +68,21 @@ class GaussRational:
         other = as_gauss(other)
         if other is NotImplemented:
             return NotImplemented
-        return GaussRational(self.re - other.re, self.im - other.im)
+        return self + -other
 
     def __rsub__(self, other):
-        other = as_gauss(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other - self
+        return (-self).__add__(other)  # NotImplemented passes through
 
     def __neg__(self):
-        return GaussRational(-self.re, -self.im)
+        return _reduced(-self._re, -self._im, self._den)
 
     def __mul__(self, other):
-        other = as_gauss(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return GaussRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        if other.__class__ is not GaussRational:
+            other = as_gauss(other)
+            if other is NotImplemented:
+                return NotImplemented
+        a, b, c, d = self._re, self._im, other._re, other._im
+        return _reduced(a * c - b * d, a * d + b * c, self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -84,13 +90,11 @@ class GaussRational:
         other = as_gauss(other)
         if other is NotImplemented:
             return NotImplemented
-        den = other.re * other.re + other.im * other.im
-        if not den:
+        a, b, c, d, e = self._re, self._im, other._re, other._im, other._den
+        norm = c * c + d * d
+        if not norm:
             raise ZeroDivisionError("division by zero GaussRational")
-        return GaussRational(
-            (self.re * other.re + self.im * other.im) / den,
-            (self.im * other.re - self.re * other.im) / den,
-        )
+        return _reduced((a * c + b * d) * e, (b * c - a * d) * e, self._den * norm)
 
     def __rtruediv__(self, other):
         other = as_gauss(other)
@@ -101,7 +105,7 @@ class GaussRational:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ValueError("only nonnegative integer powers are supported")
-        out = GaussRational(1)
+        out = _reduced(1, 0, 1)
         base = self
         while n:
             if n & 1:
@@ -114,26 +118,38 @@ class GaussRational:
         other = as_gauss(other)
         if other is NotImplemented:
             return NotImplemented
-        return self.re == other.re and self.im == other.im
+        return self._re == other._re and self._im == other._im and self._den == other._den
 
     def __hash__(self):
         return hash((self.re, self.im))
 
     def __complex__(self) -> complex:
-        return complex(float(self.re), float(self.im))
+        return complex(self._re / self._den, self._im / self._den)
 
     def __str__(self):
-        if not self.im:
-            return str(self.re)
-        if not self.re:
-            return f"{self.im}i" if self.im not in (1, -1) else ("i" if self.im == 1 else "-i")
-        sign = "+" if self.im > 0 else "-"
-        mag = abs(self.im)
+        re, im = self.re, self.im
+        if not im:
+            return str(re)
+        if not re:
+            return f"{im}i" if im not in (1, -1) else ("i" if im == 1 else "-i")
+        sign = "+" if im > 0 else "-"
+        mag = abs(im)
         imtxt = "i" if mag == 1 else f"{mag}i"
-        return f"{self.re}{sign}{imtxt}"
+        return f"{re}{sign}{imtxt}"
 
     def __repr__(self):
         return f"GaussRational({self.re!r}, {self.im!r})"
+
+
+def _reduced(re: int, im: int, den: int) -> GaussRational:
+    """GaussRational (re + im*i) / den from ints with den > 0, by one gcd unless den == 1."""
+    if den != 1:
+        g = gcd(re, im, den)
+        if g != 1:
+            re, im, den = re // g, im // g, den // g
+    out = object.__new__(GaussRational)
+    out._re, out._im, out._den = re, im, den
+    return out
 
 
 def as_gauss(v):
@@ -141,13 +157,11 @@ def as_gauss(v):
     if isinstance(v, GaussRational):
         return v
     if isinstance(v, (int, Fraction)):
-        return GaussRational(v)
+        return _reduced(v.numerator, 0, v.denominator)
     return NotImplemented
 
 
 GR_ZERO = GaussRational(0)
-GR_ONE = GaussRational(1)
-GR_I = GaussRational(0, 1)
 
 
 # ------------------------------------------------------------ term maps
@@ -425,9 +439,9 @@ def _shifted(alpha: Fraction, body: UniPoly) -> ShiftedPoly:
 
 def shifted_derivative(s: ShiftedPoly) -> ShiftedPoly:
     """Formal derivative: c_k x^(a+k) -> c_k (a+k) x^(a+k-1)."""
-    a = s.alpha
-    terms = {k - 1: c * (a + k) for k, c in s._body._terms.items() if a + k}
-    return _shifted(a, _wrap(UniPoly, terms))
+    p, q = s.alpha.numerator, s.alpha.denominator  # factor (a + k) = (p + k q) / q
+    terms = {k - 1: c * _reduced(p + k * q, 0, q) for k, c in s._body._terms.items() if p + k * q}
+    return _shifted(s.alpha, _wrap(UniPoly, terms))
 
 
 def binom_shifted(alpha: int | Fraction, n: int, k: int) -> Fraction:
@@ -439,7 +453,9 @@ def binom_shifted(alpha: int | Fraction, n: int, k: int) -> Fraction:
     if not 0 <= k <= n:
         raise ValueError(f"require 0 <= k <= n, got k={k}, n={n}")
     alpha = _as_fraction(alpha)
-    out = Fraction(1)
+    p, q = alpha.numerator, alpha.denominator
+    num = den = 1
     for j in range(1, n - k + 1):
-        out *= Fraction(alpha + k + j, j)
-    return out
+        num *= p + (k + j) * q
+        den *= q * j
+    return Fraction(num, den)

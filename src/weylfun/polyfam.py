@@ -17,7 +17,7 @@ from functools import lru_cache
 from typing import Callable, Sequence
 
 from . import weyl
-from .algebra import GaussRational, UniPoly, binom_shifted, ShiftedPoly, shifted_derivative
+from .algebra import GaussRational, UniPoly, ShiftedPoly, shifted_derivative
 from .errors import DomainError, SingularityError
 
 
@@ -112,39 +112,36 @@ def hermite_operator(n: int) -> UniPoly:
 
 def hermite_ode_residual(n: int) -> UniPoly:
     """H_n'' - 2x H_n' + 2n H_n, which must be the zero polynomial."""
-    h = _hermite_upto(n)[n]
+    h = hermite_recurrence(n)[n]
     d1 = h.derivative()
     return d1.derivative() - UniPoly.monomial(1, 2) * d1 + h * (2 * n)
 
 
 class _Root2:
-    """Element a + b*sqrt(2) of the quadratic extension over the rationals."""
+    """Element (a + b*sqrt(2)) / d of Q(sqrt 2): ints with d > 0 and gcd(a, b, d) == 1."""
 
-    __slots__ = ("a", "b")
+    __slots__ = ("a", "b", "d")
 
-    def __init__(self, a: Fraction = Fraction(0), b: Fraction = Fraction(0)):
-        self.a = Fraction(a)
-        self.b = Fraction(b)
+    def __init__(self, a: int = 0, b: int = 0, d: int = 1):
+        g = math.gcd(a, b, d)
+        self.a, self.b, self.d = a // g, b // g, d // g
 
-    def __add__(self, other: "_Root2") -> "_Root2":
-        return _Root2(self.a + other.a, self.b + other.b)
+    def __add__(self, o: "_Root2") -> "_Root2":
+        return _Root2(self.a * o.d + o.a * self.d, self.b * o.d + o.b * self.d, self.d * o.d)
 
-    def __mul__(self, other: "_Root2") -> "_Root2":
-        return _Root2(
-            self.a * other.a + 2 * self.b * other.b,
-            self.a * other.b + self.b * other.a,
-        )
+    def __mul__(self, o: "_Root2") -> "_Root2":
+        return _Root2(self.a * o.a + 2 * self.b * o.b, self.a * o.b + self.b * o.a, self.d * o.d)
 
-    def scaled(self, c: Fraction) -> "_Root2":
-        return _Root2(self.a * c, self.b * c)
+    def scaled(self, c: int) -> "_Root2":
+        return _Root2(self.a * c, self.b * c, self.d)
 
 
 def _hermite_root2(n: int, z: _Root2) -> list:
     """H_0(z)..H_n(z) in a + b*sqrt(2) by H_{k+1} = 2z H_k - 2k H_{k-1}."""
-    two_z = z.scaled(Fraction(2))
-    hs = [_Root2(), _Root2(Fraction(1))]  # H_{-1} (never weighted) and H_0
+    two_z = z.scaled(2)
+    hs = [_Root2(), _Root2(1)]  # H_{-1} (never weighted) and H_0
     for k in range(n):
-        hs.append(two_z * hs[-1] + hs[-2].scaled(Fraction(-2 * k)))
+        hs.append(two_z * hs[-1] + hs[-2].scaled(-2 * k))
     return hs[1:]
 
 
@@ -160,20 +157,20 @@ def hermite_addition_check(n: int, x0, y0) -> tuple:
     x0 = Fraction(x0)
     y0 = Fraction(y0)
     lhs = _hermite_upto(n)[n].evaluate(GaussRational(x0 + y0))
-    hx = _hermite_root2(n, _Root2(Fraction(0), x0))
-    hy = _hermite_root2(n, _Root2(Fraction(0), y0))
+    hx = _hermite_root2(n, _Root2(0, x0.numerator, x0.denominator))
+    hy = _hermite_root2(n, _Root2(0, y0.numerator, y0.denominator))
 
     total = _Root2()
     for k in range(n + 1):
-        total = total + (hx[k] * hy[n - k]).scaled(Fraction(math.comb(n, k)))
+        total = total + (hx[k] * hy[n - k]).scaled(math.comb(n, k))
     if n % 2 == 0:
-        pref = _Root2(Fraction(1, 2 ** (n // 2)), Fraction(0))
+        pref = _Root2(1, 0, 2 ** (n // 2))
     else:
-        pref = _Root2(Fraction(0), Fraction(1, 2 ** ((n + 1) // 2)))
+        pref = _Root2(0, 1, 2 ** ((n + 1) // 2))
     rhs = pref * total
     if rhs.b:
         raise RuntimeError(f"sqrt(2) failed to cancel in the addition formula at n={n}")
-    return lhs, GaussRational(rhs.a)
+    return lhs, GaussRational(Fraction(rhs.a, rhs.d))
 
 
 def _hermite_seq(x: complex, h0: complex):
@@ -314,10 +311,13 @@ def laguerre_explicit(n: int, order_alpha) -> UniPoly:
     if n < 0:
         raise ValueError("n must be >= 0")
     a = Fraction(order_alpha)
+    p, q = a.numerator, a.denominator
+    # Downward from k = n: c_{k-1} = -c_k k (a + k) / (n - k + 1), in exact scalars.
+    c = GaussRational(Fraction((-1) ** n, math.factorial(n)))
     coeffs = {}
-    for k in range(n + 1):
-        c = binom_shifted(a, n, k) * Fraction((-1) ** k, math.factorial(k))
+    for k in range(n, -1, -1):
         coeffs[k] = c
+        c = c * (-k * (p + k * q)) / (q * (n - k + 1))
     return UniPoly(coeffs)
 
 

@@ -16,6 +16,7 @@ from weylfun.algebra import (
 
 fractions_st = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 gauss_st = st.builds(GaussRational, fractions_st, fractions_st)
+wide_fractions_st = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**6)
 
 
 def poly_st(max_degree=4):
@@ -50,6 +51,66 @@ def test_gauss_field_axioms(a, b, c):
     assert (a * b) * c == a * (b * c)
     assert a * (b + c) == a * b + a * c
     assert a * b == b * a
+    # == compares stored fields, so every path must land in lowest terms
+    assert (a + b) - b == a
+    if not b.is_zero():
+        assert (a * b) / b == a
+
+
+def _model(op, x, y):
+    """Reference arithmetic on (re, im) pairs of Fractions."""
+    (p, q), (r, s) = x, y
+    if op == "+":
+        return p + r, q + s
+    if op == "-":
+        return p - r, q - s
+    if op == "*":
+        return p * r - q * s, p * s + q * r
+    norm = r * r + s * s
+    return (p * r + q * s) / norm, (q * r - p * s) / norm
+
+
+def _assert_matches_model(got, re, im):
+    assert type(got.re) is Fraction and type(got.im) is Fraction
+    assert (got.re, got.im) == (re, im)
+    built = GaussRational(re, im)
+    assert got == built and hash(got) == hash(built) == hash((re, im))
+    assert str(got) == str(built)
+    assert repr(got) == repr(built) == f"GaussRational({re!r}, {im!r})"
+    assert complex(got) == complex(float(re), float(im))
+
+
+@given(wide_fractions_st, wide_fractions_st, wide_fractions_st, wide_fractions_st,
+       st.integers(min_value=0, max_value=6))
+def test_gauss_matches_two_fraction_model(p, q, r, s, k):
+    a = GaussRational(p, q)
+    zero = Fraction(0)
+    for other, pair in ((GaussRational(r, s), (r, s)), (r, (r, zero)), (int(s), (int(s), zero))):
+        _assert_matches_model(a + other, *_model("+", (p, q), pair))
+        _assert_matches_model(other + a, *_model("+", pair, (p, q)))
+        _assert_matches_model(a - other, *_model("-", (p, q), pair))
+        _assert_matches_model(other - a, *_model("-", pair, (p, q)))
+        _assert_matches_model(a * other, *_model("*", (p, q), pair))
+        _assert_matches_model(other * a, *_model("*", pair, (p, q)))
+        if pair != (zero, zero):
+            _assert_matches_model(a / other, *_model("/", (p, q), pair))
+        if p or q:
+            _assert_matches_model(other / a, *_model("/", pair, (p, q)))
+    power = (Fraction(1), zero)
+    for _ in range(k):
+        power = _model("*", power, (p, q))
+    _assert_matches_model(a ** k, *power)
+    _assert_matches_model(-a, -p, -q)
+
+
+def test_gauss_boundary_forms():
+    assert str(GaussRational(Fraction(1, 2), Fraction(-3, 4))) == "1/2-3/4i"
+    assert str(GaussRational(0, 1)) == "i" and str(GaussRational(0, -1)) == "-i"
+    assert str(GaussRational(0, Fraction(2, 3))) == "2/3i" and str(GaussRational(-5)) == "-5"
+    assert str(GaussRational(2, 1)) == "2+i"
+    assert repr(GaussRational(Fraction(6, 4), 2)) == "GaussRational(Fraction(3, 2), Fraction(2, 1))"
+    assert GaussRational(Fraction(6, 4), 2) == GaussRational(Fraction(3, 2), Fraction(4, 2))
+    assert GaussRational.from_complex(0.5 - 0.25j) == GaussRational(Fraction(1, 2), Fraction(-1, 4))
 
 
 @given(gauss_st)
@@ -193,6 +254,11 @@ def test_cancelling_shifted_arithmetic_stores_no_zero():
 
 
 def test_constructor_errors_keep_their_types():
+    for bad in (1.5, 1j, "1", None):
+        with pytest.raises(TypeError):
+            GaussRational(bad)
+        with pytest.raises(TypeError):
+            GaussRational(0, bad)
     with pytest.raises(TypeError):
         UniPoly({1.5: 1})
     with pytest.raises(TypeError):

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 
@@ -11,6 +12,22 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out.rstrip("\n"), captured.err
+
+
+# sha256 of the full stdout; these exact outputs must stay byte-identical
+# whatever the scalar layout behind them.
+@pytest.mark.parametrize("argv, digest", [
+    ("table hermite --n-max 30 --format json",
+     "4bcf35e68e50de0048986b4e72f55ee65848107140fb04ef8c24a8eb5da726b3"),
+    ("table laguerre --n-max 20 --alpha 1/2 --format csv",
+     "a7fc6e56271e6fd2f37edde030764563bd538aeb0470d60633e83fdeb1fd3d6d"),
+    ("eval hermite --n 25", "f6978cb6306420c0f315bd7375195c33864c2f53a2c10cb97afeccb8bdc29f96"),
+    ("eval laguerre --n 20 --alpha 3/2",
+     "7df6f09a100e4d26e545f861fe3e8af9f0175458c7eccbaecdaf196f73164ced"),
+])
+def test_exact_outputs_are_pinned(capsys, argv, digest):
+    assert main(argv.split()) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 def test_eval_hermite(capsys):

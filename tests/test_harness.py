@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from weylfun import harness
+from weylfun import harness, polyfam
 from weylfun.errors import UnknownCheckError
 from weylfun.harness import SuiteConfig, run_check, run_suite
 
@@ -106,3 +106,9 @@ def test_seed_changes_random_draws_not_outcomes():
     a = run_check("algebra_ring_axioms", config=SuiteConfig(seed=1))
     b = run_check("algebra_ring_axioms", config=SuiteConfig(seed=2))
     assert a.passed and b.passed
+
+
+def test_ode_residual_check_caches_no_hermite_sets():
+    polyfam._hermite_upto.cache_clear()
+    assert run_check("hermite_ode_residual").passed
+    assert polyfam._hermite_upto.cache_info().currsize == 0

@@ -281,6 +281,46 @@ def test_laguerre_triple_equality(alpha):
         assert ls[n] == polyfam.laguerre_explicit(n, alpha)
 
 
+@pytest.mark.parametrize("alpha", [-1, -3, Fraction(-5, 2), Fraction(-7, 3), Fraction(13, 7)])
+def test_laguerre_explicit_matches_binomial_sum(alpha):
+    from weylfun.algebra import binom_shifted
+
+    for n in range(13):
+        want = UniPoly({k: binom_shifted(alpha, n, k) * Fraction((-1) ** k, math.factorial(k))
+                        for k in range(n + 1)})
+        assert polyfam.laguerre_explicit(n, alpha) == want == polyfam.laguerre_operator(n, alpha)
+
+
+_HALF = Fraction(1, 2)
+
+
+@pytest.mark.parametrize("route, low, high", [
+    (polyfam.hermite_recurrence, 5, 25),
+    (polyfam.hermite_operator, 5, 25),
+    (lambda n: polyfam.laguerre_operator(n, _HALF), 5, 25),
+    (lambda n: polyfam.laguerre_explicit(n, _HALF), 5, 25),
+    (lambda n: polyfam.hermite_addition_check(n, Fraction(1, 3), Fraction(-3, 4)), 5, 12),
+], ids=["hermite_recurrence", "hermite_operator", "laguerre_operator", "laguerre_explicit",
+        "hermite_addition_check"])
+def test_exact_routes_build_no_fraction_per_term(monkeypatch, route, low, high):
+    """Fractions stay at the boundary: their count does not grow with the degree."""
+    built = 0
+    original = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        nonlocal built
+        built += 1
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+    counts = []
+    for n in (low, high):
+        built = 0
+        route(n)
+        counts.append(built)
+    assert counts[0] == counts[1]
+
+
 @pytest.mark.parametrize("alpha", [0, 1, Fraction(1, 2)])
 def test_laguerre_degree_and_value_at_zero(alpha):
     from weylfun.algebra import binom_shifted
