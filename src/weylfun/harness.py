@@ -652,8 +652,7 @@ def check_disentangle_closed_form_residual(cfg, samples=100, tol=1e-12):
     for k in range(_i(samples)):
         t = 0.2 * k / (_i(samples) - 1)
         w = 4.0 * t + 1.0
-        form = disentangle.disentangle_closed(t)
-        f, g = form.f, form.g
+        f, g, _ = disentangle._closed_fgh(t)
         pairs.append((4.0 / (w * w), 4.0 - 8.0 * f + 4.0 * f * f))
         pairs.append((-2j / w, -2j + 2j * f))
         pairs.append((-1.0 / (w * w) + 0j, -cmath.exp(-4j * g)))
@@ -670,10 +669,7 @@ def check_disentangle_rk4_vs_closed(cfg, t_end=0.2, tol=1e-10):
         disentangle.EVEN_HERMITE_EXPONENT, _f(t_end), steps
     )
     for t, f, g, h in traj:
-        form = disentangle.disentangle_closed(t)
-        pairs.append((f, form.f))
-        pairs.append((g, form.g))
-        pairs.append((h, form.h))
+        pairs.extend(zip((f, g, h), disentangle._closed_fgh(t)))
     return _numeric_result(
         "disentangle_rk4_vs_closed",
         {"t_end": t_end, "steps": steps},

@@ -17,7 +17,7 @@ from functools import lru_cache
 from typing import Callable, Sequence
 
 from . import weyl
-from .algebra import GaussRational, UniPoly, ShiftedPoly, shifted_derivative
+from .algebra import GaussRational, UniPoly, ShiftedPoly, _reduced, shifted_derivative
 from .errors import DomainError, SingularityError
 
 
@@ -285,12 +285,13 @@ def laguerre_recurrence(n_max: int, order_alpha) -> LaguerreSet:
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     a = Fraction(order_alpha)
+    p, q = a.numerator, a.denominator  # per-degree scalars (c + a) as (c q + p) / q
     polys = [UniPoly.one()]
     if n_max >= 1:
         polys.append(UniPoly({0: 1 + a, 1: -1}))
     for n in range(1, n_max):
-        lin = UniPoly({0: 2 * n + a + 1, 1: -1})
-        nxt = (lin * polys[n] - polys[n - 1] * (n + a)) * Fraction(1, n + 1)
+        lin = UniPoly({0: _reduced((2 * n + 1) * q + p, 0, q), 1: -1})
+        nxt = (lin * polys[n] - polys[n - 1] * _reduced(n * q + p, 0, q)) * _reduced(1, 0, n + 1)
         polys.append(nxt)
     return LaguerreSet(a, tuple(polys))
 

@@ -2,25 +2,54 @@
 
 An element is a finite sum c_{jk} x^j p^k.  The canonical form keeps every
 x to the left of every p, obtained by iterating p^k x = x p^k - i k p^(k-1).
+Products and actions run on Gaussian-integer numerators over one denominator
+per operand (FLINT's fmpq_poly layout), with one gcd per output coefficient.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from itertools import chain
+from math import comb, factorial, lcm, perm
 from typing import Mapping, Union
 
 from .algebra import GR_ZERO, GaussRational, ScalarLike, UniPoly, as_gauss
-from .algebra import _scaled, _terms_add, _terms_from, _terms_neg, _terms_sum, _wrap
+from .algebra import _reduced, _scaled, _terms_add, _terms_from, _terms_neg, _wrap
 from .errors import NonConvergenceError, NotCentralError
 
-# (-i)**m cycles with period 4
-_NEG_I_POW = (
-    GaussRational(1),
-    GaussRational(0, -1),
-    GaussRational(-1),
-    GaussRational(0, 1),
-)
+
+def _int_terms(terms: dict):
+    """(den, {key: (re, im)}): a term map as numerators over the lcm of its denominators."""
+    den = lcm(*(c._den for c in terms.values()))
+    return den, {k: (c._re * (den // c._den), c._im * (den // c._den)) for k, c in terms.items()}
+
+
+def _int_sum(triples) -> dict:
+    """Sum (key, re, im) integer triples into {key: (re, im)}, dropping zero sums."""
+    out = {}
+    for k, re, im in triples:
+        s = out.get(k)
+        out[k] = (re, im) if s is None else (s[0] + re, s[1] + im)
+    return {k: v for k, v in out.items() if v[0] or v[1]}
+
+
+def _from_ints(cls, nums: dict, den: int):
+    """A cls (UniPoly or WeylOp) from numerators over den: one GaussRational per coefficient."""
+    return _wrap(cls, {k: _reduced(re, im, den) for k, (re, im) in nums.items()})
+
+
+def _act(w: dict, q: dict) -> dict:
+    """The action of w on q, both as numerators: x^j p^k maps q to x^j (-i)^k q^(k)."""
+
+    def triples():
+        for (j, k), (wr, wi) in w.items():
+            cr, ci = ((wr, wi), (wi, -wr), (-wr, -wi), (-wi, wr))[k % 4]  # times (-i)^k
+            for d, (qr, qi) in q.items():
+                if d >= k:
+                    f = perm(d, k)
+                    yield d - k + j, f * (cr * qr - ci * qi), f * (cr * qi + ci * qr)
+
+    return _int_sum(triples())
 
 
 def _check_exponents(key) -> None:
@@ -127,15 +156,19 @@ def _product(a: WeylOp, b: WeylOp) -> WeylOp:
     # x^j1 p^k1 * x^j2 p^k2: commute the p^k1 block through x^j2 one x at a
     # time via p^k x = x p^k - i k p^(k-1); the iterated rule collapses to
     # sum_m (-i)^m m! C(k1,m) C(j2,m) x^(j1+j2-m) p^(k1+k2-m).
-    def terms():
-        for (j1, k1), c1 in a._terms.items():
-            for (j2, k2), c2 in b._terms.items():
-                c = c1 * c2
-                for m in range(min(k1, j2) + 1):
-                    w = math.comb(k1, m) * math.comb(j2, m) * math.factorial(m)
-                    yield (j1 + j2 - m, k1 + k2 - m), c * (_NEG_I_POW[m % 4] * w)
+    da, an = _int_terms(a._terms)
+    db, bn = _int_terms(b._terms)
 
-    return _wrap(WeylOp, _terms_sum(terms()))
+    def triples():
+        for (j1, k1), (ar, ai) in an.items():
+            for (j2, k2), (br, bi) in bn.items():
+                re, im = ar * br - ai * bi, ar * bi + ai * br
+                for m in range(min(k1, j2) + 1):
+                    w = comb(k1, m) * comb(j2, m) * factorial(m)
+                    yield (j1 + j2 - m, k1 + k2 - m), w * re, w * im
+                    re, im = im, -re  # times -i: the next term carries (-i)^(m+1)
+
+    return _from_ints(WeylOp, _int_sum(triples()), da * db)
 
 
 def commutator(a: WeylOp, b: WeylOp) -> WeylOp:
@@ -225,16 +258,9 @@ def central_bch_prefactor(a: WeylOp, b: WeylOp) -> GaussRational:
 
 def apply_to_poly(w: WeylOp, q: UniPoly) -> UniPoly:
     """Act on a polynomial: the term x^j p^k maps q to x^j (-i)^k q^(k)."""
-    derivs = [q]
-    out = UniPoly.zero()
-    for (j, k), c in w.terms():
-        while len(derivs) <= k:
-            derivs.append(derivs[-1].derivative())
-        dq = derivs[k]
-        if dq.is_zero():
-            continue
-        out = out + dq.shift(j) * (c * _NEG_I_POW[k % 4])
-    return out
+    dw, wn = _int_terms(w._terms)
+    dq, qn = _int_terms(q._terms)
+    return _from_ints(UniPoly, _act(wn, qn), dw * dq)
 
 
 def apply_exp_taylor(w: WeylOp, xi: ScalarLike, q: UniPoly, order: int) -> UniPoly:
@@ -244,14 +270,22 @@ def apply_exp_taylor(w: WeylOp, xi: ScalarLike, q: UniPoly, order: int) -> UniPo
     xi = as_gauss(xi)
     if xi is NotImplemented:
         raise TypeError("xi must be an exact scalar")
-    acc = q
-    powq = q
-    weight = GaussRational(1)
+    # (xi_num w)^m q is held as numerators over qden*wden^m, the sum as numerators
+    # over den = qden*(xi_den*wden)^m*m!; no gcd runs until the final coefficients.
+    wden, wn = _int_terms(w._terms)
+    xr, xim = xi._re, xi._im
+    wn = {key: (re * xr - im * xim, re * xim + im * xr) for key, (re, im) in wn.items()}
+    den, powq = _int_terms(q._terms)
+    acc = powq
     for m in range(1, order + 1):
-        powq = apply_to_poly(w, powq)
-        if powq.is_zero():
+        powq = _act(wn, powq)
+        if not powq:
             break
-        weight = weight * xi / m
-        acc = acc + powq * weight
-    return acc
+        scale = xi._den * wden * m
+        den *= scale
+        acc = _int_sum(chain(
+            ((k, re * scale, im * scale) for k, (re, im) in acc.items()),
+            ((k, *v) for k, v in powq.items()),
+        ))
+    return _from_ints(UniPoly, acc, den)
 

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import io
 import json
+import re
 
 import pytest
 
@@ -28,6 +29,16 @@ def run_cli(capsys, *argv):
 def test_exact_outputs_are_pinned(capsys, argv, digest):
     assert main(argv.split()) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def test_verify_json_body_is_pinned(capsys, monkeypatch):
+    """Every record of the verdict stays byte-identical; only the timestamp may change."""
+    monkeypatch.delenv("WEYLFUN_CONFIG", raising=False)
+    assert main(["verify", "--output", "json"]) == 0
+    body = re.sub(r'"timestamp": "[^"]*"', '"timestamp": ""', capsys.readouterr().out)
+    assert hashlib.sha256(body.encode()).hexdigest() == (
+        "9b91eebddbfe67fe1938e4b01c5246c84dcdbfe5fa311f55935d29ec76c8bf69"
+    )
 
 
 def test_eval_hermite(capsys):
@@ -140,6 +151,13 @@ def test_disentangle_custom_exponent(capsys):
     assert payload["route"] == "rk4"
     assert payload["f"]["re"] == pytest.approx(0.0, abs=1e-12)
     assert payload["h"]["re"] == pytest.approx(0.5, abs=1e-12)
+
+
+@pytest.mark.parametrize("t", ["0", "0.1"])
+def test_disentangle_zero_steps_is_an_error(capsys, t):
+    code, out, err = run_cli(capsys, "disentangle", "--t", t, "--alpha", "1", "--steps", "0")
+    assert code == 1 and out == ""
+    assert "steps must be >= 1" in err
 
 
 def test_disentangle_complex_flag_syntax(capsys):

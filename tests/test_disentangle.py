@@ -89,8 +89,9 @@ def test_ode_blow_up_past_singularity():
 
 
 def test_ode_step_validation():
-    with pytest.raises(ValueError):
-        disentangle_ode(EVEN_HERMITE_EXPONENT, 0.1, 0)
+    for t_end in (0.1, 0.0):  # t = 0 takes the identity shortcut, after the check
+        with pytest.raises(ValueError, match="steps must be >= 1"):
+            disentangle_ode(EVEN_HERMITE_EXPONENT, t_end, 0)
 
 
 # --------------------------------------------------------- specialization

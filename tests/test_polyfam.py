@@ -299,9 +299,10 @@ _HALF = Fraction(1, 2)
     (polyfam.hermite_operator, 5, 25),
     (lambda n: polyfam.laguerre_operator(n, _HALF), 5, 25),
     (lambda n: polyfam.laguerre_explicit(n, _HALF), 5, 25),
+    (lambda n: polyfam.laguerre_recurrence(n, _HALF), 5, 25),
     (lambda n: polyfam.hermite_addition_check(n, Fraction(1, 3), Fraction(-3, 4)), 5, 12),
 ], ids=["hermite_recurrence", "hermite_operator", "laguerre_operator", "laguerre_explicit",
-        "hermite_addition_check"])
+        "laguerre_recurrence", "hermite_addition_check"])
 def test_exact_routes_build_no_fraction_per_term(monkeypatch, route, low, high):
     """Fractions stay at the boundary: their count does not grow with the degree."""
     built = 0

@@ -1,10 +1,13 @@
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from weylfun import algebra, weyl
 from weylfun.algebra import GaussRational, UniPoly
+from weylfun.disentangle import EVEN_HERMITE_EXPONENT, _as_weylop
 from weylfun.errors import NonConvergenceError, NotCentralError
 from weylfun.weyl import (
     Eigen,
@@ -205,3 +208,86 @@ def test_apply_examples():
 @settings(max_examples=30)
 def test_action_homomorphism(a, b, q):
     assert apply_to_poly(a * b, q) == apply_to_poly(a, apply_to_poly(b, q))
+
+
+# ------------------------------------------------ integer kernels vs model
+# Term-by-term GaussRational versions of the three kernels, kept as the model
+# that the integer-numerator kernels in weyl must reproduce exactly.
+
+_MODEL_NEG_I_POW = (GaussRational(1), GaussRational(0, -1), GaussRational(-1), GaussRational(0, 1))
+
+
+def model_product(a, b):
+    pairs = []
+    for (j1, k1), c1 in a.terms():
+        for (j2, k2), c2 in b.terms():
+            for m in range(min(k1, j2) + 1):
+                w = math.comb(k1, m) * math.comb(j2, m) * math.factorial(m)
+                pairs.append(((j1 + j2 - m, k1 + k2 - m), c1 * c2 * (_MODEL_NEG_I_POW[m % 4] * w)))
+    return WeylOp(pairs)
+
+
+def model_apply_to_poly(w, q):
+    derivs = [q]
+    out = UniPoly.zero()
+    for (j, k), c in w.terms():
+        while len(derivs) <= k:
+            derivs.append(derivs[-1].derivative())
+        if not derivs[k].is_zero():
+            out = out + derivs[k].shift(j) * (c * _MODEL_NEG_I_POW[k % 4])
+    return out
+
+
+def model_apply_exp_taylor(w, xi, q, order):
+    acc = powq = q
+    weight = GaussRational(1)
+    for m in range(1, order + 1):
+        powq = model_apply_to_poly(w, powq)
+        if powq.is_zero():
+            break
+        weight = weight * xi / m
+        acc = acc + powq * weight
+    return acc
+
+
+XI_BINARY = GaussRational(Fraction(0.02))  # denominator 2^55, as the Taylor oracle passes it
+xi_st = st.one_of(gauss_st, st.just(XI_BINARY))
+
+
+@given(op_st, op_st, poly_st)
+@settings(max_examples=40)
+def test_kernels_match_term_by_term_model(a, b, q):
+    assert a * b == model_product(a, b)
+    assert apply_to_poly(a, q) == model_apply_to_poly(a, q)
+
+
+@given(op_st, xi_st, poly_st, st.integers(0, 6))
+@settings(max_examples=40)
+@example(X2 + I * P, GaussRational(Fraction(1, 3), Fraction(-2, 5)), UniPoly.x(), 5)
+@example(X2 + P2, XI_BINARY, UniPoly({0: Fraction(1, 3), 2: GaussRational(1, 2)}), 6)
+@example(X2 + P, XI_BINARY, UniPoly.x(), 0)
+@example(X + P, GaussRational(0, 1), UniPoly.zero(), 4)
+@example(P2 * Fraction(3, 7), XI_BINARY, UniPoly({1: 2, 3: I}), 6)  # p^2 annihilates q at m = 2
+def test_exp_taylor_matches_term_by_term_model(w, xi, q, order):
+    assert apply_exp_taylor(w, xi, q, order) == model_apply_exp_taylor(w, xi, q, order)
+
+
+def test_kernels_build_one_scalar_per_output_coefficient(monkeypatch):
+    op = _as_weylop(EVEN_HERMITE_EXPONENT)
+    a = WeylOp({(0, 0): Fraction(1, 3), (1, 2): I, (2, 1): GaussRational(2, -1), (3, 3): 5})
+    b = WeylOp({(0, 1): Fraction(-2, 7), (2, 0): 3 * I, (1, 3): 1, (3, 2): Fraction(5, 4)})
+    q = UniPoly.monomial(2)
+    calls = 0
+    original = algebra._reduced
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return original(*args)
+
+    monkeypatch.setattr(algebra, "_reduced", counting)
+    monkeypatch.setattr(weyl, "_reduced", counting)
+    for run in (lambda: apply_exp_taylor(op, XI_BINARY, q, 30), lambda: a * b):
+        calls = 0
+        out = run()
+        assert 0 < calls <= len(out.terms())
