@@ -2,11 +2,17 @@ import csv
 import hashlib
 import io
 import json
+import random
 import re
+from fractions import Fraction
 
 import pytest
 
+from weylfun import polyfam
+from weylfun.algebra import GaussRational, UniPoly
 from weylfun.cli import main
+from weylfun.disentangle import EVEN_HERMITE_EXPONENT, exp_taylor_apply
+from weylfun.weyl import Terminated, WeylOp, commutator, hadamard_conjugate, xp_plus_px
 
 
 def run_cli(capsys, *argv):
@@ -38,6 +44,48 @@ def test_verify_json_body_is_pinned(capsys, monkeypatch):
     body = re.sub(r'"timestamp": "[^"]*"', '"timestamp": ""', capsys.readouterr().out)
     assert hashlib.sha256(body.encode()).hexdigest() == (
         "9b91eebddbfe67fe1938e4b01c5246c84dcdbfe5fa311f55935d29ec76c8bf69"
+    )
+
+
+def _canonical_strings():
+    """Canonical strings of every exact route, seeded WeylOp arithmetic and the Taylor oracle."""
+    for n in range(26):
+        for route in (polyfam.hermite_recurrence(n)[n], polyfam.hermite_rodrigues(n),
+                      polyfam.hermite_operator(n)):
+            yield str(route)
+    for alpha in (0, 1, 2, 5, Fraction(1, 2), Fraction(3, 2), Fraction(5, 2), Fraction(-1, 2)):
+        family = polyfam.laguerre_recurrence(20, alpha)
+        for n in range(21):
+            yield str(family[n])
+            yield str(polyfam.laguerre_operator(n, alpha))
+            yield str(polyfam.laguerre_explicit(n, alpha))
+    rng = random.Random(7)
+
+    def frac():
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+
+    def op():
+        return WeylOp({(rng.randint(0, 3), rng.randint(0, 3)): GaussRational(frac(), frac())
+                       for _ in range(rng.randint(1, 4))})
+
+    for _ in range(12):
+        a, b = op(), op()
+        yield str(a * b)
+        yield str(commutator(a, b) * frac())
+        yield str(a - b * GaussRational(frac(), frac()))
+    for a, b in ((WeylOp({(2, 0): 1}), WeylOp({(0, 1): 1})),
+                 (WeylOp({(2, 0): 1}), xp_plus_px), (xp_plus_px, WeylOp({(0, 2): 1}))):
+        for xi in (1, Fraction(-2, 3), GaussRational(Fraction(1, 2), 1)):
+            res = hadamard_conjugate(a, b, xi)
+            yield str(res.result) if isinstance(res, Terminated) else f"{res.eigenvalue} {res.op}"
+    for q in (UniPoly.one(), UniPoly.x(), UniPoly.monomial(2)):
+        yield str(exp_taylor_apply(EVEN_HERMITE_EXPONENT, 0.02, q, 30))
+
+
+def test_canonical_strings_are_pinned():
+    text = "\n".join(_canonical_strings())
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "36e6b15b41e85af6bc483ee3b754c29127b484047eb785758be962c8af7c4714"
     )
 
 
