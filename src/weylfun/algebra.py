@@ -121,7 +121,7 @@ class GaussRational:
         return self._re == other._re and self._im == other._im and self._den == other._den
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        return hash(self.re) if not self._im else hash((self.re, self.im))
 
     def __complex__(self) -> complex:
         return complex(self._re / self._den, self._im / self._den)
@@ -165,75 +165,132 @@ GR_ZERO = GaussRational(0)
 
 
 # ------------------------------------------------------------ term maps
-# UniPoly, ShiftedPoly and WeylOp store a term map: a dict from key (a
-# degree, or an (x, p) exponent pair) to a nonzero GaussRational.  No zero
-# coefficient is ever stored, so two term maps are equal exactly when the
-# values they represent are.  Results built by these helpers are already in
-# that form and are wrapped without passing through a constructor.
+# UniPoly, ShiftedPoly's body and WeylOp store a term map as Gaussian-integer
+# numerators over one denominator, the layout of FLINT's fmpq_poly: _den > 0
+# and _nums = {key: (re, im)}, the key a degree or an (x, p) exponent pair.
+# No zero pair is stored and gcd(_den, every numerator) == 1, so two term maps
+# are equal exactly when their fields are.  Arithmetic runs on the ints and
+# brings each result to that form with one gcd (_made); a GaussRational is
+# built only where a caller reads a coefficient (coeff, terms, exact evaluate).
 
 
-def _terms_sum(pairs) -> dict:
-    """Sum exact (key, coefficient) pairs into a term map."""
+def _int_sum(triples) -> dict:
+    """Sum (key, re, im) integer triples into {key: (re, im)}, dropping zero sums."""
     out = {}
-    for k, c in pairs:
+    for k, re, im in triples:
         s = out.get(k)
-        out[k] = c if s is None else s + c
-    return {k: c for k, c in out.items() if not c.is_zero()}
+        out[k] = (re, im) if s is None else (s[0] + re, s[1] + im)
+    return {k: v for k, v in out.items() if v[0] or v[1]}
 
 
-def _terms_from(items, check_key) -> dict:
-    """Validate caller input (a mapping or (key, coefficient) pairs) into a term map."""
-
-    def checked():
-        for k, c in items.items() if isinstance(items, Mapping) else items:
-            check_key(k)
-            g = as_gauss(c)
-            if g is NotImplemented:
-                raise TypeError(f"bad coefficient {c!r}")
-            yield k, g
-
-    return _terms_sum(checked())
+def _times(nums: dict, f: int):
+    """(key, re * f, im * f) triples of a numerator map."""
+    return ((k, re * f, im * f) for k, (re, im) in nums.items())
 
 
-def _terms_add(a: dict, b: dict) -> dict:
-    return _terms_sum(chain(a.items(), b.items()))
+def _lowest(nums: dict, den: int):
+    """(nums, den) with their common gcd divided out, skipped when den == 1."""
+    if den != 1:
+        g = gcd(den, *chain.from_iterable(nums.values()))
+        if g != 1:
+            return {k: (re // g, im // g) for k, (re, im) in nums.items()}, den // g
+    return nums, den
 
 
-def _terms_neg(a: dict) -> dict:
-    return {k: -c for k, c in a.items()}
-
-
-def _wrap(cls, terms: dict):
-    """An instance of cls (UniPoly or WeylOp) holding an already-normalized term map."""
+def _made(cls, nums: dict, den: int):
+    """A cls (UniPoly or WeylOp) holding the nonzero numerator pairs nums over den > 0."""
     out = object.__new__(cls)
-    out._terms = terms
+    out._nums, out._den = _lowest(nums, den)
     return out
 
 
-def _scaled(cls, terms: dict, other):
-    """terms times the scalar other, wrapped in cls; NotImplemented for a non-scalar."""
+def _from_items(items, check_key):
+    """Validate caller input (a mapping or (key, coefficient) pairs) into (nums, den)."""
+    coeffs = []
+    for k, c in items.items() if isinstance(items, Mapping) else items:
+        check_key(k)
+        g = as_gauss(c)
+        if g is NotImplemented:
+            raise TypeError(f"bad coefficient {c!r}")
+        coeffs.append((k, g))
+    den = lcm(*(g._den for _, g in coeffs))
+    return _lowest(_int_sum(
+        (k, g._re * (den // g._den), g._im * (den // g._den)) for k, g in coeffs
+    ), den)
+
+
+# Shared by UniPoly and WeylOp, assigned in each class body.
+
+def _combined(a, b, sign: int):
+    """a + sign * b for term maps of one class; NotImplemented for any other operand."""
+    if b.__class__ is not a.__class__:
+        return NotImplemented
+    den = lcm(a._den, b._den)
+    return _made(a.__class__, _int_sum(chain(
+        _times(a._nums, den // a._den), _times(b._nums, sign * (den // b._den))
+    )), den)
+
+
+def _add(a, b):
+    return _combined(a, b, 1)
+
+
+def _sub(a, b):
+    return _combined(a, b, -1)
+
+
+def _neg(a):
+    return _made(a.__class__, {k: (-re, -im) for k, (re, im) in a._nums.items()}, a._den)
+
+
+def _eq(a, b):
+    if b.__class__ is not a.__class__:
+        return NotImplemented
+    return a._den == b._den and a._nums == b._nums
+
+
+def _scale(a, other):
+    """a times the scalar other; NotImplemented for a non-scalar."""
     g = as_gauss(other)
     if g is NotImplemented:
         return NotImplemented
-    return _wrap(cls, {k: c * g for k, c in terms.items()} if not g.is_zero() else {})
+    gr, gi = g._re, g._im
+    nums = {k: (re * gr - im * gi, re * gi + im * gr) for k, (re, im) in a._nums.items()}
+    return _made(a.__class__, nums if gr or gi else {}, a._den * g._den)
 
 
-def _check_degree(k) -> None:
+def _coeff(a, key) -> GaussRational:
+    v = a._nums.get(key)
+    return _reduced(v[0], v[1], a._den) if v else GR_ZERO
+
+
+def _terms(a):
+    """Sorted (key, coefficient) pairs, one GaussRational per coefficient."""
+    return tuple((k, _reduced(re, im, a._den)) for k, (re, im) in sorted(a._nums.items()))
+
+
+def _check_int(k) -> None:
     if not isinstance(k, int):
         raise TypeError(f"degree must be an int, got {type(k).__name__}")
 
 
+def _check_degree(k) -> None:
+    _check_int(k)
+    if k < 0:
+        raise ValueError(f"degree must be nonnegative, got {k}")
+
+
 class UniPoly:
-    """Sparse exact univariate polynomial, degree -> GaussRational.
+    """Sparse exact univariate polynomial, degree -> Gaussian-rational coefficient.
 
     Values are immutable by convention; every operation returns a new
-    polynomial with no stored zero coefficients.
+    polynomial in the term-map form above.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_nums", "_den")
 
     def __init__(self, coeffs: Mapping[int, ScalarLike] | Iterable = ()):
-        self._terms = _terms_from(coeffs, _check_degree)
+        self._nums, self._den = _from_items(coeffs, _check_degree)
 
     @classmethod
     def zero(cls) -> "UniPoly":
@@ -254,69 +311,54 @@ class UniPoly:
     @property
     def degree(self) -> int:
         """Degree of the polynomial, -1 for the zero polynomial."""
-        return max(self._terms) if self._terms else -1
+        return max(self._nums) if self._nums else -1
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._nums
 
-    def coeff(self, k: int) -> GaussRational:
-        return self._terms.get(k, GR_ZERO)
-
-    def terms(self):
-        """Sorted (degree, coefficient) pairs, ascending degree."""
-        return tuple(sorted(self._terms.items()))
-
-    def __add__(self, other):
-        if not isinstance(other, UniPoly):
-            return NotImplemented
-        return _wrap(UniPoly, _terms_add(self._terms, other._terms))
-
-    def __sub__(self, other):
-        if not isinstance(other, UniPoly):
-            return NotImplemented
-        return _wrap(UniPoly, _terms_add(self._terms, _terms_neg(other._terms)))
-
-    def __neg__(self):
-        return _wrap(UniPoly, _terms_neg(self._terms))
+    coeff, terms = _coeff, _terms
+    __add__, __sub__, __neg__, __eq__ = _add, _sub, _neg, _eq
 
     def __mul__(self, other):
         if isinstance(other, UniPoly):
-            b = other._terms
-            return _wrap(UniPoly, _terms_sum(
-                (k1 + k2, c1 * c2) for k1, c1 in self._terms.items() for k2, c2 in b.items()
-            ))
-        return _scaled(UniPoly, self._terms, other)
+            b = other._nums.items()
+            return _made(UniPoly, _int_sum(
+                (k1 + k2, ar * br - ai * bi, ar * bi + ai * br)
+                for k1, (ar, ai) in self._nums.items() for k2, (br, bi) in b
+            ), self._den * other._den)
+        return _scale(self, other)
 
     __rmul__ = __mul__
 
     def derivative(self) -> "UniPoly":
-        return _wrap(UniPoly, {k - 1: c * k for k, c in self._terms.items() if k > 0})
+        nums = {k - 1: (re * k, im * k) for k, (re, im) in self._nums.items() if k > 0}
+        return _made(UniPoly, nums, self._den)
 
     def shift(self, j: int) -> "UniPoly":
         """Multiply by x**j."""
         if j < 0:
             raise ValueError("shift exponent must be nonnegative")
-        return _wrap(UniPoly, {k + j: c for k, c in self._terms.items()})
+        return _made(UniPoly, {k + j: v for k, v in self._nums.items()}, self._den)
 
     def evaluate(self, x0):
         """Horner evaluation: exact for exact input, complex for float input."""
+        den = self._den
         if isinstance(x0, (GaussRational, int, Fraction)):
-            arg = as_gauss(x0)
-            acc = GR_ZERO
+            x = as_gauss(x0)
+            xr, xi, xd = x._re, x._im, x._den
+            ar = ai = 0
+            scale = 1  # xd ** (degree - k): the sum stays in numerators over den * xd**degree
             for k in range(self.degree, -1, -1):
-                acc = acc * arg + self._terms.get(k, GR_ZERO)
-            return acc
+                cr, ci = self._nums.get(k, (0, 0))
+                ar, ai = ar * xr - ai * xi + cr * scale, ar * xi + ai * xr + ci * scale
+                scale *= xd
+            return _reduced(ar * xd, ai * xd, den * scale)
         arg = complex(x0)
         acc = 0j
         for k in range(self.degree, -1, -1):
-            c = self._terms.get(k)
-            acc = acc * arg + (complex(c) if c is not None else 0.0)
+            c = self._nums.get(k)
+            acc = acc * arg + (complex(c[0] / den, c[1] / den) if c is not None else 0.0)
         return acc
-
-    def __eq__(self, other):
-        if not isinstance(other, UniPoly):
-            return NotImplemented
-        return self._terms == other._terms
 
     __hash__ = None  # type: ignore[assignment]
 
@@ -368,7 +410,7 @@ class ShiftedPoly:
 
     def __init__(self, alpha: int | Fraction, coeffs: Mapping[int, ScalarLike] | Iterable = ()):
         self.alpha = _as_fraction(alpha)
-        self._body = UniPoly(coeffs)
+        self._body = _made(UniPoly, *_from_items(coeffs, _check_int))
 
     def is_zero(self) -> bool:
         return self._body.is_zero()
@@ -400,7 +442,7 @@ class ShiftedPoly:
         return _shifted(self.alpha, -self._body)
 
     def __mul__(self, other):
-        body = _scaled(UniPoly, self._body._terms, other)
+        body = _scale(self._body, other)
         return body if body is NotImplemented else _shifted(self.alpha, body)
 
     __rmul__ = __mul__
@@ -418,7 +460,7 @@ class ShiftedPoly:
         Every surviving exponent alpha + k - alpha = k must be a
         nonnegative integer; anything else signals an algebra bug.
         """
-        for k in self._body._terms:
+        for k in self._body._nums:
             if k < 0:
                 raise RuntimeError(
                     f"non-polynomial exponent {self.alpha}+{k} survived the offset removal"
@@ -440,8 +482,10 @@ def _shifted(alpha: Fraction, body: UniPoly) -> ShiftedPoly:
 def shifted_derivative(s: ShiftedPoly) -> ShiftedPoly:
     """Formal derivative: c_k x^(a+k) -> c_k (a+k) x^(a+k-1)."""
     p, q = s.alpha.numerator, s.alpha.denominator  # factor (a + k) = (p + k q) / q
-    terms = {k - 1: c * _reduced(p + k * q, 0, q) for k, c in s._body._terms.items() if p + k * q}
-    return _shifted(s.alpha, _wrap(UniPoly, terms))
+    body = s._body
+    nums = {k - 1: (re * (p + k * q), im * (p + k * q)) for k, (re, im) in body._nums.items()
+            if p + k * q}
+    return _shifted(s.alpha, _made(UniPoly, nums, body._den * q))
 
 
 def binom_shifted(alpha: int | Fraction, n: int, k: int) -> Fraction:

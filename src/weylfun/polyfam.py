@@ -22,23 +22,9 @@ from .errors import DomainError, SingularityError
 
 
 @dataclass(frozen=True)
-class HermiteSet:
-    """Hermite polynomials H_0..H_N, index = degree."""
+class PolyFamily:
+    """Polynomials P_0..P_N of one family (Hermite, or Laguerre of one order), index = degree."""
 
-    polys: tuple
-
-    def __getitem__(self, n: int) -> UniPoly:
-        return self.polys[n]
-
-    def __len__(self) -> int:
-        return len(self.polys)
-
-
-@dataclass(frozen=True)
-class LaguerreSet:
-    """Associated Laguerre polynomials L_0^a..L_N^a for a fixed order a."""
-
-    alpha: Fraction
     polys: tuple
 
     def __getitem__(self, n: int) -> UniPoly:
@@ -50,7 +36,7 @@ class LaguerreSet:
 
 # ---------------------------------------------------------------- Hermite
 
-def hermite_recurrence(n_max: int) -> HermiteSet:
+def hermite_recurrence(n_max: int) -> PolyFamily:
     """H_{n+1} = 2x H_n - 2n H_{n-1} from seeds H_0 = 1, H_1 = 2x."""
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
@@ -60,11 +46,11 @@ def hermite_recurrence(n_max: int) -> HermiteSet:
     two_x = UniPoly.monomial(1, 2)
     for n in range(1, n_max):
         polys.append(two_x * polys[n] - polys[n - 1] * (2 * n))
-    return HermiteSet(tuple(polys))
+    return PolyFamily(tuple(polys))
 
 
 @lru_cache(maxsize=None)
-def _hermite_upto(n_max: int) -> HermiteSet:
+def _hermite_upto(n_max: int) -> PolyFamily:
     return hermite_recurrence(n_max)
 
 
@@ -280,7 +266,7 @@ def hermite_expand(
 
 # --------------------------------------------------------------- Laguerre
 
-def laguerre_recurrence(n_max: int, order_alpha) -> LaguerreSet:
+def laguerre_recurrence(n_max: int, order_alpha) -> PolyFamily:
     """(n+1) L_{n+1} = (2n+a+1-x) L_n - (n+a) L_{n-1}, seeds 1 and 1+a-x."""
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
@@ -293,7 +279,7 @@ def laguerre_recurrence(n_max: int, order_alpha) -> LaguerreSet:
         lin = UniPoly({0: _reduced((2 * n + 1) * q + p, 0, q), 1: -1})
         nxt = (lin * polys[n] - polys[n - 1] * _reduced(n * q + p, 0, q)) * _reduced(1, 0, n + 1)
         polys.append(nxt)
-    return LaguerreSet(a, tuple(polys))
+    return PolyFamily(tuple(polys))
 
 
 def laguerre_operator(n: int, order_alpha) -> UniPoly:

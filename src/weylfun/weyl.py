@@ -2,40 +2,22 @@
 
 An element is a finite sum c_{jk} x^j p^k.  The canonical form keeps every
 x to the left of every p, obtained by iterating p^k x = x p^k - i k p^(k-1).
-Products and actions run on Gaussian-integer numerators over one denominator
-per operand (FLINT's fmpq_poly layout), with one gcd per output coefficient.
+WeylOp stores the term-map layout of weylfun.algebra, Gaussian-integer
+numerators over one denominator, so products, the action on a polynomial and
+the Taylor action run on ints with one gcd per result.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from math import comb, factorial, lcm, perm
+from math import comb, factorial, perm
 from typing import Mapping, Union
 
-from .algebra import GR_ZERO, GaussRational, ScalarLike, UniPoly, as_gauss
-from .algebra import _reduced, _scaled, _terms_add, _terms_from, _terms_neg, _wrap
+from .algebra import GaussRational, ScalarLike, UniPoly, as_gauss
+from .algebra import _add, _coeff, _eq, _from_items, _int_sum, _made, _neg, _scale, _sub
+from .algebra import _terms, _times
 from .errors import NonConvergenceError, NotCentralError
-
-
-def _int_terms(terms: dict):
-    """(den, {key: (re, im)}): a term map as numerators over the lcm of its denominators."""
-    den = lcm(*(c._den for c in terms.values()))
-    return den, {k: (c._re * (den // c._den), c._im * (den // c._den)) for k, c in terms.items()}
-
-
-def _int_sum(triples) -> dict:
-    """Sum (key, re, im) integer triples into {key: (re, im)}, dropping zero sums."""
-    out = {}
-    for k, re, im in triples:
-        s = out.get(k)
-        out[k] = (re, im) if s is None else (s[0] + re, s[1] + im)
-    return {k: v for k, v in out.items() if v[0] or v[1]}
-
-
-def _from_ints(cls, nums: dict, den: int):
-    """A cls (UniPoly or WeylOp) from numerators over den: one GaussRational per coefficient."""
-    return _wrap(cls, {k: _reduced(re, im, den) for k, (re, im) in nums.items()})
 
 
 def _act(w: dict, q: dict) -> dict:
@@ -61,10 +43,10 @@ def _check_exponents(key) -> None:
 class WeylOp:
     """Normal-ordered Weyl-algebra element, (j, k) -> coefficient of x^j p^k."""
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_nums", "_den")
 
     def __init__(self, terms: Mapping = ()):
-        self._terms = _terms_from(terms, _check_exponents)
+        self._nums, self._den = _from_items(terms, _check_exponents)
 
     @classmethod
     def x(cls) -> "WeylOp":
@@ -82,42 +64,26 @@ class WeylOp:
     def scalar(cls, c: ScalarLike) -> "WeylOp":
         return cls({(0, 0): c})
 
-    def terms(self):
-        """Sorted ((j, k), coefficient) pairs."""
-        return tuple(sorted(self._terms.items(), key=lambda t: t[0]))
+    terms = _terms
 
     def coeff(self, j: int, k: int) -> GaussRational:
-        return self._terms.get((j, k), GR_ZERO)
+        return _coeff(self, (j, k))
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._nums
 
     def is_scalar(self) -> bool:
-        return all(key == (0, 0) for key in self._terms)
+        return all(key == (0, 0) for key in self._nums)
 
     def scalar_part(self) -> GaussRational:
-        return self._terms.get((0, 0), GR_ZERO)
+        return _coeff(self, (0, 0))
 
-    def __add__(self, other):
-        if not isinstance(other, WeylOp):
-            return NotImplemented
-        return _wrap(WeylOp, _terms_add(self._terms, other._terms))
-
-    def __sub__(self, other):
-        if not isinstance(other, WeylOp):
-            return NotImplemented
-        return _wrap(WeylOp, _terms_add(self._terms, _terms_neg(other._terms)))
-
-    def __neg__(self):
-        return _wrap(WeylOp, _terms_neg(self._terms))
+    __add__, __sub__, __neg__, __eq__, __rmul__ = _add, _sub, _neg, _eq, _scale
 
     def __mul__(self, other):
         if isinstance(other, WeylOp):
             return _product(self, other)
-        return _scaled(WeylOp, self._terms, other)
-
-    def __rmul__(self, other):
-        return _scaled(WeylOp, self._terms, other)
+        return _scale(self, other)
 
     def __pow__(self, n: int) -> "WeylOp":
         if not isinstance(n, int) or n < 0:
@@ -127,15 +93,10 @@ class WeylOp:
             out = out * self
         return out
 
-    def __eq__(self, other):
-        if not isinstance(other, WeylOp):
-            return NotImplemented
-        return self._terms == other._terms
-
     __hash__ = None  # type: ignore[assignment]
 
     def __str__(self):
-        if not self._terms:
+        if not self._nums:
             return "0"
         parts = []
         for (j, k), c in self.terms():
@@ -156,19 +117,16 @@ def _product(a: WeylOp, b: WeylOp) -> WeylOp:
     # x^j1 p^k1 * x^j2 p^k2: commute the p^k1 block through x^j2 one x at a
     # time via p^k x = x p^k - i k p^(k-1); the iterated rule collapses to
     # sum_m (-i)^m m! C(k1,m) C(j2,m) x^(j1+j2-m) p^(k1+k2-m).
-    da, an = _int_terms(a._terms)
-    db, bn = _int_terms(b._terms)
-
     def triples():
-        for (j1, k1), (ar, ai) in an.items():
-            for (j2, k2), (br, bi) in bn.items():
+        for (j1, k1), (ar, ai) in a._nums.items():
+            for (j2, k2), (br, bi) in b._nums.items():
                 re, im = ar * br - ai * bi, ar * bi + ai * br
                 for m in range(min(k1, j2) + 1):
                     w = comb(k1, m) * comb(j2, m) * factorial(m)
                     yield (j1 + j2 - m, k1 + k2 - m), w * re, w * im
                     re, im = im, -re  # times -i: the next term carries (-i)^(m+1)
 
-    return _from_ints(WeylOp, _int_sum(triples()), da * db)
+    return _made(WeylOp, _int_sum(triples()), a._den * b._den)
 
 
 def commutator(a: WeylOp, b: WeylOp) -> WeylOp:
@@ -199,11 +157,11 @@ ConjugationResult = Union[Terminated, Eigen]
 
 def _scalar_ratio(c: WeylOp, b: WeylOp):
     """If c == lam * b for a scalar lam, return lam, else None."""
-    if set(c._terms) != set(b._terms):
+    if c._nums.keys() != b._nums.keys():
         return None
     lam = None
-    for key, cv in c._terms.items():
-        ratio = cv / b._terms[key]
+    for (_, cv), (_, bv) in zip(c.terms(), b.terms()):
+        ratio = cv / bv
         if lam is None:
             lam = ratio
         elif ratio != lam:
@@ -258,9 +216,7 @@ def central_bch_prefactor(a: WeylOp, b: WeylOp) -> GaussRational:
 
 def apply_to_poly(w: WeylOp, q: UniPoly) -> UniPoly:
     """Act on a polynomial: the term x^j p^k maps q to x^j (-i)^k q^(k)."""
-    dw, wn = _int_terms(w._terms)
-    dq, qn = _int_terms(q._terms)
-    return _from_ints(UniPoly, _act(wn, qn), dw * dq)
+    return _made(UniPoly, _act(w._nums, q._nums), w._den * q._den)
 
 
 def apply_exp_taylor(w: WeylOp, xi: ScalarLike, q: UniPoly, order: int) -> UniPoly:
@@ -270,22 +226,17 @@ def apply_exp_taylor(w: WeylOp, xi: ScalarLike, q: UniPoly, order: int) -> UniPo
     xi = as_gauss(xi)
     if xi is NotImplemented:
         raise TypeError("xi must be an exact scalar")
-    # (xi_num w)^m q is held as numerators over qden*wden^m, the sum as numerators
-    # over den = qden*(xi_den*wden)^m*m!; no gcd runs until the final coefficients.
-    wden, wn = _int_terms(w._terms)
-    xr, xim = xi._re, xi._im
-    wn = {key: (re * xr - im * xim, re * xim + im * xr) for key, (re, im) in wn.items()}
-    den, powq = _int_terms(q._terms)
-    acc = powq
+    # With xi w = wn / wden, (xi w)^m q is held as numerators over qden*wden^m, the
+    # sum as numerators over den = qden*wden^m*m!; the one gcd runs on the result.
+    xw = _scale(w, xi)
+    den = q._den
+    acc = powq = q._nums
     for m in range(1, order + 1):
-        powq = _act(wn, powq)
+        powq = _act(xw._nums, powq)
         if not powq:
             break
-        scale = xi._den * wden * m
+        scale = xw._den * m
         den *= scale
-        acc = _int_sum(chain(
-            ((k, re * scale, im * scale) for k, (re, im) in acc.items()),
-            ((k, *v) for k, v in powq.items()),
-        ))
-    return _from_ints(UniPoly, acc, den)
+        acc = _int_sum(chain(_times(acc, scale), _times(powq, 1)))
+    return _made(UniPoly, acc, den)
 

@@ -74,7 +74,7 @@ def _assert_matches_model(got, re, im):
     assert type(got.re) is Fraction and type(got.im) is Fraction
     assert (got.re, got.im) == (re, im)
     built = GaussRational(re, im)
-    assert got == built and hash(got) == hash(built) == hash((re, im))
+    assert got == built and hash(got) == hash(built) == (hash(re) if not im else hash((re, im)))
     assert str(got) == str(built)
     assert repr(got) == repr(built) == f"GaussRational({re!r}, {im!r})"
     assert complex(got) == complex(float(re), float(im))
@@ -111,6 +111,13 @@ def test_gauss_boundary_forms():
     assert repr(GaussRational(Fraction(6, 4), 2)) == "GaussRational(Fraction(3, 2), Fraction(2, 1))"
     assert GaussRational(Fraction(6, 4), 2) == GaussRational(Fraction(3, 2), Fraction(4, 2))
     assert GaussRational.from_complex(0.5 - 0.25j) == GaussRational(Fraction(1, 2), Fraction(-1, 4))
+
+
+def test_real_gauss_hashes_as_its_value():
+    table = {3: "int", Fraction(1, 2): "fraction"}
+    assert table.get(GaussRational(3)) == "int" and table.get(GaussRational(Fraction(2, 4))) == "fraction"
+    assert hash(GaussRational(3)) == hash(3) and GaussRational(3) == 3
+    assert {GaussRational(Fraction(-5, 2)), Fraction(-5, 2)} == {Fraction(-5, 2)}
 
 
 @given(gauss_st)
@@ -153,6 +160,15 @@ def test_poly_eval_exact():
 def test_poly_eval_complex():
     val = UniPoly({2: 1, 0: 1}).evaluate(2.0 + 0j)
     assert val == pytest.approx(5.0)
+
+
+def test_negative_degree_rejected():
+    for bad in ({-1: 1}, [(2, 1), (-3, 2)]):
+        with pytest.raises(ValueError):
+            UniPoly(bad)
+    with pytest.raises(ValueError):
+        UniPoly.monomial(-2, 3)
+    assert ShiftedPoly(Fraction(1, 2), {-1: 2}).terms() == ((-1, GaussRational(2)),)
 
 
 def test_no_zero_coefficients_stored():
