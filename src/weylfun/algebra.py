@@ -27,7 +27,7 @@ class GaussRational:
     """Exact complex scalar re + im*i, stored as ints (re_num + im_num*i) / den.
 
     den > 0 and gcd(re_num, im_num, den) == 1, so equal values have equal fields.
-    Fraction appears only at the boundaries: the constructor, .re/.im and text.
+    Fraction appears only at the boundaries: the constructor, .re/.im and repr.
     """
 
     __slots__ = ("_re", "_im", "_den")
@@ -127,18 +127,25 @@ class GaussRational:
         return complex(self._re / self._den, self._im / self._den)
 
     def __str__(self):
-        re, im = self.re, self.im
-        if not im:
-            return str(re)
-        if not re:
-            return f"{im}i" if im not in (1, -1) else ("i" if im == 1 else "-i")
-        sign = "+" if im > 0 else "-"
-        mag = abs(im)
-        imtxt = "i" if mag == 1 else f"{mag}i"
-        return f"{re}{sign}{imtxt}"
+        return _gauss_text(self._re, self._im, self._den)
 
     def __repr__(self):
         return f"GaussRational({self.re!r}, {self.im!r})"
+
+
+def _ratio_text(n: int, d: int) -> str:
+    """str(Fraction(n, d)) for ints with d > 0, by one gcd."""
+    g = gcd(n, d)
+    return str(n // g) if d == g else f"{n // g}/{d // g}"
+
+
+def _gauss_text(re: int, im: int, den: int) -> str:
+    """Text of the Gaussian value (re + im*i) / den with den > 0: 3/2, -i, 1/2+3i."""
+    if not im:
+        return _ratio_text(re, den)
+    mag = "" if abs(im) == den else _ratio_text(abs(im), den)
+    sign = "-" if im < 0 else "+" if re else ""
+    return f"{_ratio_text(re, den) if re else ''}{sign}{mag}i"
 
 
 def _reduced(re: int, im: int, den: int) -> GaussRational:
@@ -373,15 +380,14 @@ def format_poly(q: UniPoly, var: str = "x") -> str:
     """Canonical text form: descending powers, exact rational coefficients."""
     if q.is_zero():
         return "0"
-    parts = []
-    for k, c in sorted(q.terms(), key=lambda t: t[0], reverse=True):
-        if c.is_real():
-            neg = c.re < 0
-            mag = -c.re if neg else c.re
-            body = _term_text(str(mag), mag == 1, k, var)
+    den, parts = q._den, []
+    for k, (re, im) in sorted(q._nums.items(), reverse=True):
+        if not im:
+            neg = re < 0
+            body = _term_text(_ratio_text(abs(re), den), abs(re) == den, k, var)
         else:
             neg = False
-            body = _term_text(f"({c})", False, k, var)
+            body = _term_text(f"({_gauss_text(re, im, den)})", False, k, var)
         if not parts:
             parts.append(("-" if neg else "") + body)
         else:

@@ -16,6 +16,7 @@ import os
 import sys
 from dataclasses import replace
 from fractions import Fraction
+from functools import cache
 
 from . import bessel, disentangle, harness, polyfam
 from .algebra import format_poly
@@ -48,6 +49,7 @@ def _nonneg_int(text: str) -> int:
     return value
 
 
+@cache  # built on the first main() call, never at import; parse_args keeps no state
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="weylfun",

@@ -162,8 +162,9 @@ def apply_factored(form: FactoredForm, q: UniPoly) -> ExpQuadPoly:
     weight = 1.0 + 0j  # h^m / m! times the (-1)^m from p^2 = -d^2/dx^2
     m = 0
     while not d.is_zero():
-        for k, c in d.terms():
-            smoothed[k] += weight * complex(c)
+        den = d._den  # floats straight from the numerators: int true division rounds correctly
+        for k, (re, im) in d._nums.items():
+            smoothed[k] += weight * complex(re / den, im / den)
         d = d.derivative().derivative()
         weight *= -complex(form.h) / (m + 1)
         m += 1

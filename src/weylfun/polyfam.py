@@ -172,6 +172,14 @@ def _hermite_seq(x: complex, h0: complex):
         prev, cur = cur, math.sqrt(2 / (n + 1)) * x * cur - math.sqrt(n / (n + 1)) * prev
 
 
+def _finite(x0: complex) -> complex:
+    """complex(x0), or DomainError when a part is inf or nan."""
+    x = complex(x0)
+    if not cmath.isfinite(x):
+        raise DomainError(f"x must be finite, got {x0!r}")
+    return x
+
+
 def hermite_genfun_partial(gen_alpha: complex, x0: complex, n_terms: int) -> complex:
     """Partial sum sum_{n<=N} H_n(x) gen_alpha^n / n! (compare e^(-a^2+2ax))."""
     if n_terms < 0:
@@ -179,7 +187,7 @@ def hermite_genfun_partial(gen_alpha: complex, x0: complex, n_terms: int) -> com
     a = complex(gen_alpha)
     acc = 0j
     weight = 1.0 + 0j  # a^n sqrt(2^n n!) / n!
-    for n, hn in zip(range(n_terms + 1), _hermite_seq(complex(x0), 1.0)):
+    for n, hn in zip(range(n_terms + 1), _hermite_seq(_finite(x0), 1.0)):
         acc += weight * hn
         weight *= a * math.sqrt(2 / (n + 1))
     return acc
@@ -192,7 +200,7 @@ def even_hermite_partial(t: complex, x0: complex, n_terms: int) -> complex:
     tt = complex(t)
     acc = 0j
     weight = 1.0 + 0j  # t^n sqrt(4^n (2n)!) / n!
-    evens = itertools.islice(_hermite_seq(complex(x0), 1.0), 0, None, 2)
+    evens = itertools.islice(_hermite_seq(_finite(x0), 1.0), 0, None, 2)
     for n, h2n in zip(range(n_terms + 1), evens):
         acc += weight * h2n
         weight *= 2 * tt * math.sqrt((2 * n + 1) * (2 * n + 2)) / (n + 1)
@@ -204,7 +212,7 @@ def even_hermite_closed(t: complex, x0: complex) -> complex:
     w = 4 * complex(t) + 1
     if w.imag == 0.0 and w.real <= 0.0:
         raise SingularityError(f"closed form is singular on 4t+1 <= 0 (got 4t+1 = {w.real})")
-    x = complex(x0)
+    x = _finite(x0)
     return cmath.exp(4 * complex(t) * x * x / w) / cmath.sqrt(w)
 
 
@@ -227,12 +235,12 @@ def _psi_pair(n: int, x: complex) -> tuple:
 
 def psi_eval(n: int, x0: complex) -> complex:
     """Normalized oscillator function pi^(-1/4) (2^n n!)^(-1/2) e^(-x^2/2) H_n(x)."""
-    return _psi_pair(n, complex(x0))[1]
+    return _psi_pair(n, _finite(x0))[1]
 
 
 def psi_derivative(n: int, x0: complex) -> complex:
     """Analytic derivative psi_n' = sqrt(2n) psi_{n-1} - x psi_n, from H_n' = 2n H_{n-1}."""
-    x = complex(x0)
+    x = _finite(x0)
     prev, cur = _psi_pair(n, x)
     return math.sqrt(2 * n) * prev - x * cur
 
@@ -316,7 +324,7 @@ def laguerre_genfun_partial(t: complex, x0: complex, order_alpha, n_terms: int) 
     if abs(tt) >= 1:
         raise DomainError(f"generating function requires |t| < 1, got |t| = {abs(tt)}")
     a = float(Fraction(order_alpha))
-    x = complex(x0)
+    x = _finite(x0)
     acc = 0j
     tp = 1.0 + 0j
     prev, cur = 0j, 1.0 + 0j  # L_{n-1}^a(x), L_n^a(x) by the laguerre_recurrence step, in floats

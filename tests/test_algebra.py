@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from weylfun.algebra import (
@@ -211,6 +211,83 @@ def test_format_poly_canonical():
     assert format_poly(UniPoly({2: Fraction(1, 2), 1: -2, 0: 1})) == "1/2*x^2 - 2*x + 1"
     assert format_poly(UniPoly()) == "0"
     assert format_poly(UniPoly.monomial(1, 2)) == "2*x"
+
+
+# The Fraction-based text of GaussRational and format_poly, kept as a model:
+# the renderers that read the integer numerators must give the same bytes.
+
+def _model_gauss_text(re: Fraction, im: Fraction) -> str:
+    if not im:
+        return str(re)
+    if not re:
+        return f"{im}i" if im not in (1, -1) else ("i" if im == 1 else "-i")
+    sign = "+" if im > 0 else "-"
+    mag = abs(im)
+    return f"{re}{sign}{'i' if mag == 1 else f'{mag}i'}"
+
+
+def _model_format_poly(q: UniPoly, var: str = "x") -> str:
+    if q.is_zero():
+        return "0"
+    parts = []
+    for k, c in sorted(q.terms(), key=lambda t: t[0], reverse=True):
+        neg = c.is_real() and c.re < 0
+        if c.is_real():
+            text, is_one = str(abs(c.re)), abs(c.re) == 1
+        else:
+            text, is_one = f"({_model_gauss_text(c.re, c.im)})", False
+        xpart = var if k == 1 else f"{var}^{k}"
+        body = text if k == 0 else xpart if is_one else f"{text}*{xpart}"
+        if parts:
+            body = ("- " if neg else "+ ") + body
+        elif neg:
+            body = "-" + body
+        parts.append(body)
+    return " ".join(parts)
+
+
+units_st = st.sampled_from([GaussRational(1), GaussRational(-1), GaussRational(0, 1),
+                            GaussRational(0, -1)])
+text_coeff_st = st.one_of(
+    units_st, gauss_st, st.builds(GaussRational, st.just(0), fractions_st),
+    st.builds(GaussRational, wide_fractions_st, wide_fractions_st),
+)
+
+
+@given(st.dictionaries(st.integers(0, 6), text_coeff_st, max_size=5), st.sampled_from("xt"))
+@example({}, "t")
+@example({3: GaussRational(0, 1), 2: GaussRational(0, -1), 1: GaussRational(-1), 0: 1}, "t")
+@example({1: GaussRational(Fraction(1, 2), Fraction(1, 3)), 0: GaussRational(Fraction(2, 3), 0)},
+         "x")
+def test_text_matches_fraction_model(coeffs, var):
+    q = UniPoly(coeffs)
+    assert format_poly(q, var) == _model_format_poly(q, var)
+    assert str(q) == _model_format_poly(q) and repr(q) == f"UniPoly<{_model_format_poly(q)}>"
+    for c in coeffs.values():
+        c = GaussRational(0) + c
+        assert str(c) == _model_gauss_text(c.re, c.im)
+
+
+def test_text_builds_no_fraction(monkeypatch):
+    q = UniPoly({5: GaussRational(Fraction(1, 2), Fraction(1, 3)), 3: GaussRational(0, -1),
+                 1: Fraction(-7, 4), 0: 1})
+    scalars = [GaussRational(Fraction(3, 4), -2), GaussRational(0, Fraction(2, 3)),
+               GaussRational(-5), GaussRational(0, 1), GaussRational(Fraction(6, 7), 1)]
+    built = 0
+    original = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        nonlocal built
+        built += 1
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+    texts = [format_poly(q), format_poly(q, "t"), str(q), *map(str, scalars)]
+    monkeypatch.undo()
+    assert built == 0
+    assert texts[:2] == ["(1/2+1/3i)*x^5 + (-i)*x^3 - 7/4*x + 1",
+                         "(1/2+1/3i)*t^5 + (-i)*t^3 - 7/4*t + 1"]
+    assert texts[3:] == ["3/4-2i", "2/3i", "-5", "i", "6/7+i"]
 
 
 # -------------------------------------------------------------- ShiftedPoly

@@ -1,14 +1,19 @@
+import argparse
 import csv
 import hashlib
 import io
 import json
+import os
 import random
 import re
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from weylfun import polyfam
+from weylfun import cli, polyfam
 from weylfun.algebra import GaussRational, UniPoly
 from weylfun.cli import main
 from weylfun.disentangle import EVEN_HERMITE_EXPONENT, exp_taylor_apply
@@ -23,7 +28,7 @@ def run_cli(capsys, *argv):
 
 # sha256 of the full stdout; these exact outputs must stay byte-identical
 # whatever the scalar layout behind them.
-@pytest.mark.parametrize("argv, digest", [
+PINNED_OUTPUTS = [
     ("table hermite --n-max 30 --format json",
      "4bcf35e68e50de0048986b4e72f55ee65848107140fb04ef8c24a8eb5da726b3"),
     ("table laguerre --n-max 20 --alpha 1/2 --format csv",
@@ -31,10 +36,58 @@ def run_cli(capsys, *argv):
     ("eval hermite --n 25", "f6978cb6306420c0f315bd7375195c33864c2f53a2c10cb97afeccb8bdc29f96"),
     ("eval laguerre --n 20 --alpha 3/2",
      "7df6f09a100e4d26e545f861fe3e8af9f0175458c7eccbaecdaf196f73164ced"),
-])
+    ("eval hermite --n 17 --output json",
+     "0bab2f7848c38b3d8270369e4b1647c9ae6329acb697ebc32453ea919a994542"),
+    ("eval laguerre --n 12 --alpha=-1/2 --output json",
+     "e1c08231de85aeb6947645769957cf9facde51aa03e998832e161a6ba7bfee7e"),
+    ("table hermite --n-max 15", "017d839ac42ef00fd5920b89108daee079a4f27d2d275e0ac408a351bdc24c9a"),
+    ("table laguerre --n-max 15 --alpha=5/2 --format json",
+     "512102ffeeb45a3a8355b4ca1d10ca3e769ffd08e3c43f23c1fb60d8ee63aafb"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", PINNED_OUTPUTS)
 def test_exact_outputs_are_pinned(capsys, argv, digest):
     assert main(argv.split()) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def test_parser_is_built_once_on_first_use(capsys, monkeypatch):
+    """The first main() call builds the 13 argparse parsers; later calls reuse them."""
+    probe = "import weylfun.cli as c; print(c._build_parser.cache_info().currsize)"
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    fresh = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
+    assert fresh.stdout.strip() == "0"  # importing the CLI builds nothing
+    built = 0
+    original = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        nonlocal built
+        built += 1
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli._build_parser.cache_clear()
+    counts = []
+    for argv in (["eval", "hermite", "--n", "3"], ["table", "laguerre", "--n-max", "2"],
+                 ["eval", "psi", "--n", "1", "--x", "0.5"]):
+        built = 0
+        assert main(argv) == 0
+        counts.append(built)
+    capsys.readouterr()
+    assert counts == [13, 0, 0]
+
+
+def test_reused_parser_survives_errors(capsys):
+    """A usage error and a handler error leave the shared parser as it was."""
+    with pytest.raises(SystemExit) as err:
+        main(["eval", "hermite"])  # missing --n
+    assert err.value.code == 2
+    code, out, err_text = run_cli(capsys, "sum", "even-hermite", "--t=-1/4", "--x", "0")
+    assert code == 1 and out == "" and "SingularityError" in err_text
+    for argv, digest in PINNED_OUTPUTS:
+        assert main(argv.split()) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 def test_verify_json_body_is_pinned(capsys, monkeypatch):
@@ -178,6 +231,16 @@ def test_sum_even_hermite_singular(capsys):
     code, _, err = run_cli(capsys, "sum", "even-hermite", "--t=-1/4", "--x", "0")
     assert code == 1
     assert "SingularityError" in err
+
+
+@pytest.mark.parametrize("argv", [
+    "eval psi --n 3 --x nan", "eval psi --n 3 --x inf", "eval psi --n 3 --x=-inf",
+    "sum even-hermite --t 0.1 --x inf --N 5", "sum even-hermite --t 0.1 --x nan",
+])
+def test_non_finite_x_is_an_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv.split())
+    assert code == 1 and out == ""
+    assert "DomainError" in err and "x must be finite" in err
 
 
 def test_disentangle_closed(capsys):

@@ -1,12 +1,16 @@
 import cmath
 import math
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weylfun import disentangle, polyfam
-from weylfun.algebra import UniPoly
+from weylfun.algebra import GaussRational, UniPoly
 from weylfun.disentangle import (
     EVEN_HERMITE_EXPONENT,
+    FactoredForm,
     QuadExponent,
     apply_factored,
     disentangle_closed,
@@ -137,6 +141,55 @@ def test_apply_factored_reproduces_closed_sum():
         for x in (0.0, 0.7, 1.5):
             want = polyfam.even_hermite_closed(t, x)
             assert abs(out.value_at(x) - want) <= 1e-13
+
+
+def test_apply_factored_builds_no_scalar(monkeypatch):
+    """Coefficients are read as floats straight from the numerators, with no gcd."""
+    from weylfun import algebra
+
+    calls = 0
+    original = algebra._reduced
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return original(*args)
+
+    q = UniPoly({k: GaussRational(Fraction(k + 1, 3), Fraction(-k, 7)) for k in range(7)})
+    form = disentangle_closed(0.1)
+    monkeypatch.setattr(algebra, "_reduced", counting)
+    apply_factored(form, q)
+    assert calls == 0
+
+
+def _apply_factored_model(form, q):
+    """apply_factored reading each coefficient as complex(c) over q.terms()."""
+    smoothed = [0j] * (q.degree + 1 if not q.is_zero() else 1)
+    d, weight, m = q, 1.0 + 0j, 0
+    while not d.is_zero():
+        for k, c in d.terms():
+            smoothed[k] += weight * complex(c)
+        d = d.derivative().derivative()
+        weight *= -complex(form.h) / (m + 1)
+        m += 1
+    return tuple(ck * cmath.exp(-1j * (2 * k + 1) * form.g) for k, ck in enumerate(smoothed))
+
+
+wide_st = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=2**60)
+coeff_st = st.builds(GaussRational, wide_st, wide_st)
+small_complex_st = st.complex_numbers(max_magnitude=1, allow_nan=False, allow_infinity=False)
+
+
+@given(st.dictionaries(st.integers(0, 9), coeff_st, max_size=7), small_complex_st,
+       small_complex_st, small_complex_st)
+@settings(max_examples=80)
+def test_apply_factored_matches_per_coefficient_model(coeffs, f, g, h):
+    """Every float is bit-identical to the complex(c) reading of a GaussRational."""
+    form = FactoredForm(f, g, h, 0.1)
+    q = UniPoly(coeffs)
+    out = apply_factored(form, q)
+    assert out.poly == _apply_factored_model(form, q)
+    assert out.quad_coeff == f
 
 
 # ------------------------------------------------------------ Taylor oracle

@@ -219,6 +219,26 @@ def test_psi_against_mpmath(n):
         assert abs(polyfam.psi_derivative(n, x) - complex(dref)) <= 1e-12 * (1 + abs(dref))
 
 
+# each float evaluator that takes a point x, with its other arguments fixed
+X_EVALUATORS = {
+    "psi_eval": lambda x: polyfam.psi_eval(3, x),
+    "psi_derivative": lambda x: polyfam.psi_derivative(3, x),
+    "even_hermite_partial": lambda x: polyfam.even_hermite_partial(0.1, x, 5),
+    "even_hermite_closed": lambda x: polyfam.even_hermite_closed(0.1, x),
+    "hermite_genfun_partial": lambda x: polyfam.hermite_genfun_partial(0.3, x, 5),
+    "laguerre_genfun_partial": lambda x: polyfam.laguerre_genfun_partial(0.3, x, 1, 5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(X_EVALUATORS))
+def test_float_evaluators_reject_non_finite_x(name):
+    """A nan or inf point is a DomainError, as in the Bessel evaluators, never a nan result."""
+    for x in (math.nan, math.inf, -math.inf, complex(0.5, math.inf), complex(math.nan, 0)):
+        with pytest.raises(DomainError, match="x must be finite"):
+            X_EVALUATORS[name](x)
+    assert cmath.isfinite(X_EVALUATORS[name](complex(0.5, 0.25)))
+
+
 def test_psi_high_order_value():
     assert polyfam.psi_eval(100, 8.0).real == pytest.approx(0.225298728387552, abs=1e-13)
 
