@@ -1,9 +1,7 @@
 """Command-line front end: evaluation, identity verification, table emission.
 
 Numeric flags where exactness matters (alpha, t) accept both decimal and
-rational p/q syntax.  The WEYLFUN_CONFIG environment variable may point at
-a JSON file holding default verify settings (same field names as the
-harness SuiteConfig); explicit flags override it.
+rational p/q syntax.  A verify run is configured by --filter and --seed alone.
 """
 
 from __future__ import annotations
@@ -12,17 +10,19 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
-from dataclasses import replace
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 
 from . import bessel, disentangle, harness, polyfam
 from .algebra import format_poly
 from .errors import WeylfunError
 
-CONFIG_ENV_VAR = "WEYLFUN_CONFIG"
+# Caps on the flags whose cost grows without bound.  At the cap the costliest
+# form takes ~1.6 s and 90 MB (table laguerre --alpha=97/99 --format json) and
+# ~4.2 s and 16 MB (disentangle --steps) on a 2-vCPU Xeon VM.
+MAX_DEGREE = 200
+MAX_STEPS = 1_000_000
 
 
 def _fraction_flag(text: str) -> Fraction:
@@ -39,14 +39,19 @@ def _complex_flag(text: str) -> complex:
         raise argparse.ArgumentTypeError(f"expected a (complex) number, got {text!r}") from exc
 
 
-def _nonneg_int(text: str) -> int:
+def _nonneg_int(text: str, limit: int | None = None) -> int:
     try:
         value = int(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from exc
     if value < 0:
         raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {value}")
+    if limit is not None and value > limit:
+        raise argparse.ArgumentTypeError(f"expected at most {limit}, got {value}")
     return value
+
+
+_degree = partial(_nonneg_int, limit=MAX_DEGREE)
 
 
 @cache  # built on the first main() call, never at import; parse_args keeps no state
@@ -61,11 +66,13 @@ def _build_parser() -> argparse.ArgumentParser:
     evsub = ev.add_subparsers(dest="target", required=True)
 
     ev_h = evsub.add_parser("hermite", help="print H_n as an exact polynomial")
-    ev_h.add_argument("--n", type=_nonneg_int, required=True, help="degree n >= 0")
+    ev_h.add_argument("--n", type=_degree, required=True,
+                      help=f"degree n >= 0, at most {MAX_DEGREE}")
     _output_flags(ev_h)
 
     ev_l = evsub.add_parser("laguerre", help="print L_n^alpha as an exact polynomial")
-    ev_l.add_argument("--n", type=_nonneg_int, required=True, help="degree n >= 0")
+    ev_l.add_argument("--n", type=_degree, required=True,
+                      help=f"degree n >= 0, at most {MAX_DEGREE}")
     ev_l.add_argument("--alpha", type=_fraction_flag, default=Fraction(0),
                       help="order alpha, decimal or p/q (default 0)")
     _output_flags(ev_l)
@@ -100,21 +107,26 @@ def _build_parser() -> argparse.ArgumentParser:
     ds.add_argument("--beta", type=_complex_flag, default=None,
                     help="coefficient of xp+px (accepts forms like -2i)")
     ds.add_argument("--gamma", type=_complex_flag, default=None, help="coefficient of p^2")
-    ds.add_argument("--steps", type=_nonneg_int, default=10_000, help="RK4 steps (custom exponent)")
+    ds.add_argument("--steps", type=partial(_nonneg_int, limit=MAX_STEPS), default=10_000,
+                    help=f"RK4 steps (custom exponent), at most {MAX_STEPS:,}")
     _output_flags(ds)
 
     vf = sub.add_parser("verify", help="run the identity check registry and report")
-    vf.add_argument("--filter", default=None, help="fnmatch pattern over check names")
-    vf.add_argument("--seed", type=int, default=None, help="seed for randomized exact checks")
+    vf.add_argument("--filter", default=harness.SuiteConfig.filter,
+                    help="fnmatch pattern over check names")
+    vf.add_argument("--seed", type=int, default=harness.SuiteConfig.seed,
+                    help="seed for randomized exact checks")
     _output_flags(vf, formats=("text", "json", "csv"))
 
     tb = sub.add_parser("table", help="emit a polynomial family table")
     tbsub = tb.add_subparsers(dest="target", required=True)
     tb_h = tbsub.add_parser("hermite")
-    tb_h.add_argument("--n-max", dest="n_max", type=_nonneg_int, required=True)
+    tb_h.add_argument("--n-max", dest="n_max", type=_degree, required=True,
+                      help=f"largest degree, at most {MAX_DEGREE}")
     _table_flags(tb_h)
     tb_l = tbsub.add_parser("laguerre")
-    tb_l.add_argument("--n-max", dest="n_max", type=_nonneg_int, required=True)
+    tb_l.add_argument("--n-max", dest="n_max", type=_degree, required=True,
+                      help=f"largest degree, at most {MAX_DEGREE}")
     tb_l.add_argument("--alpha", type=_fraction_flag, default=Fraction(0))
     _table_flags(tb_l)
 
@@ -238,28 +250,8 @@ def _cmd_disentangle(args: argparse.Namespace) -> int:
     return 0
 
 
-def _suite_config(args: argparse.Namespace) -> harness.SuiteConfig:
-    suite = harness.SuiteConfig()
-    path = os.environ.get(CONFIG_ENV_VAR)
-    if path:
-        try:
-            with open(path) as fh:
-                overrides = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise WeylfunError(f"cannot load config {path!r}: {exc}") from exc
-        unknown = set(overrides) - set(harness.SuiteConfig.__dataclass_fields__)
-        if unknown:
-            raise WeylfunError(f"unknown config fields in {path!r}: {sorted(unknown)}")
-        suite = replace(suite, **overrides)
-    if args.filter is not None:
-        suite = replace(suite, filter=args.filter)
-    if args.seed is not None:
-        suite = replace(suite, seed=args.seed)
-    return suite
-
-
 def _cmd_verify(args: argparse.Namespace) -> int:
-    report = harness.run_suite(_suite_config(args))
+    report = harness.run_suite(harness.SuiteConfig(args.filter, args.seed))
     if args.output == "json":
         text = harness.report_serialize(report).rstrip("\n")
     elif args.output == "csv":

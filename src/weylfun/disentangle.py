@@ -22,14 +22,14 @@ from fractions import Fraction
 
 from . import weyl
 from .algebra import GaussRational, UniPoly
-from .errors import BlowUpError, SingularityError
+from .errors import BlowUpError, DomainError, SingularityError
 
 _FINITE_CAP = 1e100
 
 
 def _require_finite(z: complex, what: str):
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise ValueError(f"{what} must be finite, got {z!r}")
+        raise DomainError(f"{what} must be finite, got {z!r}")
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from weylfun import cli, polyfam
+from weylfun import cli, harness, polyfam
 from weylfun.algebra import GaussRational, UniPoly
 from weylfun.cli import main
 from weylfun.disentangle import EVEN_HERMITE_EXPONENT, exp_taylor_apply
@@ -90,9 +90,8 @@ def test_reused_parser_survives_errors(capsys):
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
-def test_verify_json_body_is_pinned(capsys, monkeypatch):
+def test_verify_json_body_is_pinned(capsys):
     """Every record of the verdict stays byte-identical; only the timestamp may change."""
-    monkeypatch.delenv("WEYLFUN_CONFIG", raising=False)
     assert main(["verify", "--output", "json"]) == 0
     body = re.sub(r'"timestamp": "[^"]*"', '"timestamp": ""', capsys.readouterr().out)
     assert hashlib.sha256(body.encode()).hexdigest() == (
@@ -271,6 +270,40 @@ def test_disentangle_zero_steps_is_an_error(capsys, t):
     assert "steps must be >= 1" in err
 
 
+@pytest.mark.parametrize("argv", [
+    "disentangle --t 0.1 --alpha nan", "disentangle --t 0.1 --beta nan",
+    "disentangle --t 0.1 --gamma=-nan",
+])
+def test_non_finite_coefficient_is_an_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv.split())
+    assert code == 1 and out == ""
+    assert "error[DomainError]" in err and "must be finite" in err
+
+
+CAPPED_FLAGS = [
+    ("eval hermite --n", cli.MAX_DEGREE), ("eval laguerre --n", cli.MAX_DEGREE),
+    ("table hermite --n-max", cli.MAX_DEGREE), ("table laguerre --n-max", cli.MAX_DEGREE),
+    ("disentangle --t 0.1 --alpha 1 --steps", cli.MAX_STEPS),
+]
+
+
+@pytest.mark.parametrize("prefix, cap", CAPPED_FLAGS)
+def test_flag_above_its_cap_is_a_usage_error(capsys, prefix, cap):
+    assert cli._build_parser().parse_args(f"{prefix} {cap}".split())
+    with pytest.raises(SystemExit) as err:
+        main(f"{prefix} {cap + 1}".split())
+    assert err.value.code == 2
+    assert f"expected at most {cap}, got {cap + 1}" in capsys.readouterr().err
+    with pytest.raises(SystemExit):
+        main(prefix.split("--")[0].split() + ["--help"])
+    assert f"at most {cap:,}" in " ".join(capsys.readouterr().out.split())
+
+
+def test_degree_at_the_cap_runs(capsys):
+    code, out, _ = run_cli(capsys, "eval", "hermite", "--n", str(cli.MAX_DEGREE))
+    assert code == 0 and out.startswith(f"{2 ** cli.MAX_DEGREE}*x^{cli.MAX_DEGREE}")
+
+
 def test_disentangle_complex_flag_syntax(capsys):
     code, out, _ = run_cli(
         capsys, "disentangle", "--t", "0.1",
@@ -314,25 +347,16 @@ def test_verify_out_file(capsys, tmp_path):
     assert json.loads(target.read_text())["counts"] == {"pass": 1, "fail": 0}
 
 
-def test_verify_env_config(capsys, tmp_path, monkeypatch):
+def test_verify_ignores_config_file_variable(capsys, tmp_path, monkeypatch):
+    """--filter and --seed are the only settings of a verify run."""
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"filter": "algebra_binom_integer_match"}))
+    cfg.write_text(json.dumps({"filter": "algebra_binom_integer_match", "seed": 1}))
     monkeypatch.setenv("WEYLFUN_CONFIG", str(cfg))
     code, out, _ = run_cli(capsys, "verify", "--output", "json")
     assert code == 0
     report = json.loads(out)
-    assert [c["name"] for c in report["checks"]] == ["algebra_binom_integer_match"]
-
-
-def test_verify_env_config_bad_field(capsys, tmp_path, monkeypatch):
-    cfg = tmp_path / "cfg.json"
-    monkeypatch.setenv("WEYLFUN_CONFIG", str(cfg))
-    # rk4_steps and bessel were config fields once; the checks now fix those values
-    for field, value in (("not_a_field", 3), ("rk4_steps", 100), ("bessel", {"quad_nodes": 64})):
-        cfg.write_text(json.dumps({field: value}))
-        code, _, err = run_cli(capsys, "verify")
-        assert code == 1
-        assert field in err
+    assert report["config"] == {"filter": "*", "seed": 20260801}
+    assert [c["name"] for c in report["checks"]] == list(harness.REGISTRY)
 
 
 def test_table_hermite_csv(capsys):

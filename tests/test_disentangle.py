@@ -20,7 +20,7 @@ from weylfun.disentangle import (
     exp_taylor_apply,
     system_coefficients,
 )
-from weylfun.errors import BlowUpError, SingularityError
+from weylfun.errors import BlowUpError, DomainError, SingularityError
 
 
 # ------------------------------------------------------------ closed forms
@@ -226,7 +226,9 @@ def test_even_hermite_pipeline():
 
 
 def test_quad_exponent_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError, match="a_x2 must be finite"):
         QuadExponent(float("nan"), 0, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError, match="b_mix must be finite"):
         QuadExponent(0, complex(0, float("inf")), 0)
+    with pytest.raises(DomainError, match="g must be finite"):
+        FactoredForm(0.1, float("inf"), 0.0, 0.5)

@@ -1,9 +1,10 @@
+import inspect
 import json
 import math
 
 import pytest
 
-from weylfun import harness, polyfam
+from weylfun import bessel, harness, polyfam
 from weylfun.errors import UnknownCheckError
 from weylfun.harness import SuiteConfig, run_check, run_suite
 
@@ -13,21 +14,21 @@ def test_registry_size():
 
 
 def test_run_check_exact_pass():
-    result = run_check("hermite_triple_equality", {"n_max": 25})
+    result = run_check("hermite_triple_equality")
     assert result.passed and result.exact and result.abs_err == 0.0
     assert result.tolerance == 0.0
 
 
-def test_run_check_parameterized():
-    result = run_check("even_hermite_sum", {"t": 0.2, "x": 0, "N": 80, "tol": 1e-9})
-    assert result.passed
-    assert abs(result.rhs - 0.7453559924999299) <= 1e-12
+def test_even_hermite_partial_sum_at_one_point():
+    closed = polyfam.even_hermite_closed(0.2, 0.0)
+    assert abs(closed - 0.7453559924999299) <= 1e-12
+    assert abs(polyfam.even_hermite_partial(0.2, 0.0, 80) - closed) <= 1e-9 * (1.0 + abs(closed))
 
 
-def test_run_check_bessel_addition_single_case():
-    result = run_check("bessel_addition", {"n": 0, "x": 1.1, "y": 0.7, "K": 30, "tol": 1e-12})
-    assert result.passed
-    assert abs(result.rhs - 0.33998641104255835) <= 1e-13
+def test_bessel_addition_at_one_case():
+    rhs = bessel.j_series(0, 1.1 + 0.7)
+    assert abs(rhs - 0.33998641104255835) <= 1e-13
+    assert abs(bessel.j_addition(0, 1.1, 0.7, 30) - rhs) <= 1e-12
 
 
 def test_run_check_unknown_name():
@@ -35,10 +36,9 @@ def test_run_check_unknown_name():
         run_check("no_such_identity")
 
 
-def test_run_check_unknown_param():
-    with pytest.raises(ValueError) as err:
-        run_check("hermite_triple_equality", {"bogus_knob": 1})
-    assert "bogus_knob" in str(err.value)
+def test_registry_checks_take_only_the_config():
+    for name, fn in harness.REGISTRY.items():
+        assert list(inspect.signature(fn).parameters) == ["cfg"], name
 
 
 def test_pass_invariant_encoding():
@@ -55,9 +55,9 @@ def test_pass_invariant_encoding():
 
 
 def test_numeric_result_fails_on_nan():
-    c = harness._numeric_result("p", {}, [(float("nan"), 0.0)], 1e-12)
+    c = harness._numeric_result({}, [(float("nan"), 0.0)], 1e-12)
     assert not c.passed and not math.isfinite(c.abs_err)
-    c = harness._numeric_result("p", {}, [(1.0, 1.0), (0.0, float("nan")), (2.0, 2.0)], 1e-12)
+    c = harness._numeric_result({}, [(1.0, 1.0), (0.0, float("nan")), (2.0, 2.0)], 1e-12)
     assert not c.passed and not math.isfinite(c.abs_err)
 
 
@@ -65,6 +65,7 @@ def test_suite_all_pass_and_counts():
     report = run_suite()
     assert report.counts["fail"] == 0
     assert report.counts["pass"] == len(report.checks) == len(harness.check_names())
+    assert [c.name for c in report.checks] == list(harness.REGISTRY)
     for c in report.checks:
         assert math.isfinite(c.abs_err), c.name
         assert c.passed == (c.abs_err <= c.tolerance), c.name

@@ -65,7 +65,7 @@ def product_calls(monkeypatch):
 
 
 def test_triple_check_grows_the_ladder_one_product_per_degree(product_calls):
-    result = run_check("hermite_triple_equality", {"n_max": 25})
+    result = run_check("hermite_triple_equality")
     assert result.passed
     assert len(product_calls) <= 26  # rebuilding ladder**n for every n costs 325
 
