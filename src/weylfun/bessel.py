@@ -17,21 +17,19 @@ _I_POW = (1 + 0j, 1j, -1 + 0j, -1j)  # i**n cycles with period 4
 _MILLER_MAX_START = 100_000
 
 
-def j_series(n: int, x: float, tol: float = 1e-16) -> float:
+def j_series(n: int, x: float) -> float:
     """Ascending power series with multiplicative term updates.
 
     Terms are built from their predecessor, so no factorial is ever formed
     past the first; the sum stops once the next term is below
-    tol*(1+|sum|) and the term magnitudes have started to decay.
+    1e-16*(1+|sum|) and the term magnitudes have started to decay.
     """
     if n < 0:
         raise ValueError("j_series takes n >= 0; use j_signed for negative orders")
     if not math.isfinite(x):
         raise DomainError(f"x must be finite, got {x!r}")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     if x < 0:
-        return (-1) ** n * j_series(n, -x, tol)
+        return (-1) ** n * j_series(n, -x)
     if x == 0.0:
         return 1.0 if n == 0 else 0.0
     half = x / 2.0
@@ -44,7 +42,7 @@ def j_series(n: int, x: float, tol: float = 1e-16) -> float:
     for m in range(1000):
         nxt = -term * half_sq / ((m + 1) * (m + n + 1))
         past_peak = (m + 1) * (m + n + 1) > half_sq
-        if past_peak and abs(nxt) < tol * (1.0 + abs(total)):
+        if past_peak and abs(nxt) < 1e-16 * (1.0 + abs(total)):
             total += nxt
             return total
         term = nxt
@@ -76,12 +74,12 @@ def j_integral(n: int, x: float, quad_nodes: int) -> float:
     return val.real
 
 
-def j_integral_auto(n: int, x: float, start_nodes: int = 64, cap: int = 4096) -> float:
-    """Node-doubling wrapper around j_integral, stopping at 1e-14 agreement.
+def j_integral_auto(n: int, x: float) -> float:
+    """Node-doubling wrapper around j_integral from 64 nodes, stopping at 1e-14 agreement.
 
-    Raises AccuracyError if the node count reaches cap without agreement.
+    Raises AccuracyError if the node count reaches 4096 without agreement.
     """
-    nodes = start_nodes
+    nodes, cap = 64, 4096
     prev = j_integral(n, x, nodes)
     while nodes < cap:
         nodes *= 2
@@ -92,12 +90,13 @@ def j_integral_auto(n: int, x: float, start_nodes: int = 64, cap: int = 4096) ->
     raise AccuracyError(f"trapezoid sum for J_{n}({x}) did not settle within {cap} nodes")
 
 
-def j_miller(n_max: int, x: float, pad: int = 20) -> list:
+def j_miller(n_max: int, x: float) -> list:
     """J_0..J_{n_max} by downward recurrence from a padded trial order.
 
-    Upward recurrence is unstable for orders above x, so recurse downward
-    from n_max + pad + ceil(x) with trial values (1, 0) and normalize with
-    J_0 + 2 sum_{k>=1} J_{2k} = 1, the t = 1 slice of the generating
+    Upward recurrence is unstable for orders above x (Gautschi, SIAM Review 9,
+    1967), so recurse downward from n_max + ceil(x) + 20 + ceil(8 x^(1/3)), past
+    the turning region that widens like x^(1/3), with trial values (1, 0) and
+    normalize with J_0 + 2 sum_{k>=1} J_{2k} = 1, the t = 1 slice of the generating
     function.  Raises DomainError when that start index is above
     _MILLER_MAX_START, before anything is allocated.
     """
@@ -105,7 +104,7 @@ def j_miller(n_max: int, x: float, pad: int = 20) -> list:
         raise ValueError("n_max must be >= 0")
     if not math.isfinite(x) or x < 0:
         raise DomainError(f"j_miller requires finite x >= 0, got {x!r}")
-    start = n_max + pad + math.ceil(x)
+    start = n_max + math.ceil(x) + 20 + math.ceil(8 * x ** (1 / 3))
     if start > _MILLER_MAX_START:
         raise DomainError(f"j_miller start order {start} is above {_MILLER_MAX_START}")
     if x == 0.0:
@@ -121,16 +120,19 @@ def j_miller(n_max: int, x: float, pad: int = 20) -> list:
     return [v / norm for v in vals[: n_max + 1]]
 
 
-def j_signed(n: int, x: float, tol: float = 1e-16) -> float:
-    """J_n for any integer order via J_{-n} = (-1)^n J_n.
+def j_signed(n: int, x: float) -> float:
+    """J_n(x) for any integer n and real x: the series for |x| <= 10, where it
+    loses at most ~e^10 eps to cancellation, and j_miller beyond.
 
-    The reflection identity is forced by the t -> -1/t symmetry of the
-    generating function, which fixes the left side while mapping
-    t^n J_n to (-1)^n t^{-n} J_n.
+    J_{-n} = (-1)^n J_n and J_n(-x) = (-1)^n J_n(x) are forced by the
+    t -> -1/t and t -> -t symmetries of the generating function.
     """
-    if n >= 0:
-        return j_series(n, x, tol)
-    return (-1) ** n * j_series(-n, x, tol)
+    m = abs(n)
+    if abs(x) <= 10.0 or not math.isfinite(x):  # j_series names a non-finite x
+        value, flip = j_series(m, x), n < 0
+    else:
+        value, flip = j_miller(m, abs(x))[m], (n < 0) != (x < 0)
+    return -value if flip and m % 2 else value
 
 
 def j_derivative_m(n: int, m: int, x: float) -> float:

@@ -20,16 +20,22 @@ from .errors import WeylfunError
 
 # Caps on the flags whose cost grows without bound.  At the cap the costliest
 # form takes ~1.6 s and 90 MB (table laguerre --alpha=97/99 --format json) and
-# ~4.2 s and 16 MB (disentangle --steps) on a 2-vCPU Xeon VM.
+# ~4.2 s and 16 MB (disentangle --steps) on a 2-vCPU Xeon VM.  Each Laguerre
+# coefficient carries alpha's p and q: --alpha=9999/10001 took ~2.1 s and 122 MB.
 MAX_DEGREE = 200
 MAX_STEPS = 1_000_000
+MAX_ALPHA_TERM = 10_000
 
 
-def _fraction_flag(text: str) -> Fraction:
+def _fraction_flag(text: str, limit: int | None = None) -> Fraction:
     try:
-        return Fraction(text)
+        value = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"expected a number or p/q ratio, got {text!r}") from exc
+    big = max(abs(value.numerator), value.denominator)
+    if limit is not None and big > limit:
+        raise argparse.ArgumentTypeError(f"|p| and q of p/q: expected at most {limit}, got {big}")
+    return value
 
 
 def _complex_flag(text: str) -> complex:
@@ -52,6 +58,8 @@ def _nonneg_int(text: str, limit: int | None = None) -> int:
 
 
 _degree = partial(_nonneg_int, limit=MAX_DEGREE)
+_alpha = partial(_fraction_flag, limit=MAX_ALPHA_TERM)
+_ALPHA_HELP = f"order alpha, decimal or p/q (default 0), |p| and q at most {MAX_ALPHA_TERM:,}"
 
 
 @cache  # built on the first main() call, never at import; parse_args keeps no state
@@ -73,14 +81,13 @@ def _build_parser() -> argparse.ArgumentParser:
     ev_l = evsub.add_parser("laguerre", help="print L_n^alpha as an exact polynomial")
     ev_l.add_argument("--n", type=_degree, required=True,
                       help=f"degree n >= 0, at most {MAX_DEGREE}")
-    ev_l.add_argument("--alpha", type=_fraction_flag, default=Fraction(0),
-                      help="order alpha, decimal or p/q (default 0)")
+    ev_l.add_argument("--alpha", type=_alpha, default=Fraction(0), help=_ALPHA_HELP)
     _output_flags(ev_l)
 
     ev_b = evsub.add_parser("bessel", help="evaluate J_n(x)")
     ev_b.add_argument("--n", type=int, required=True, help="integer order (any sign)")
-    ev_b.add_argument("--x", type=float, required=True)
-    ev_b.add_argument("--method", choices=("series", "integral", "miller"), default="series")
+    ev_b.add_argument("--x", type=float, required=True,
+                      help="series for |x| <= 10, Miller recurrence beyond")
     _output_flags(ev_b)
 
     ev_p = evsub.add_parser("psi", help="evaluate the normalized oscillator function psi_n(x)")
@@ -123,23 +130,18 @@ def _build_parser() -> argparse.ArgumentParser:
     tb_h = tbsub.add_parser("hermite")
     tb_h.add_argument("--n-max", dest="n_max", type=_degree, required=True,
                       help=f"largest degree, at most {MAX_DEGREE}")
-    _table_flags(tb_h)
+    _output_flags(tb_h, ("text", "csv", "json"), "--format")
     tb_l = tbsub.add_parser("laguerre")
     tb_l.add_argument("--n-max", dest="n_max", type=_degree, required=True,
                       help=f"largest degree, at most {MAX_DEGREE}")
-    tb_l.add_argument("--alpha", type=_fraction_flag, default=Fraction(0))
-    _table_flags(tb_l)
+    tb_l.add_argument("--alpha", type=_alpha, default=Fraction(0), help=_ALPHA_HELP)
+    _output_flags(tb_l, ("text", "csv", "json"), "--format")
 
     return parser
 
 
-def _output_flags(p, formats=("text", "json")):
-    p.add_argument("--output", choices=formats, default="text", help="output format")
-    p.add_argument("--out", dest="out_path", default=None, help="write output to FILE")
-
-
-def _table_flags(p):
-    p.add_argument("--format", dest="output", choices=("text", "csv", "json"), default="text")
+def _output_flags(p, formats=("text", "json"), flag="--output"):
+    p.add_argument(flag, dest="output", choices=formats, default="text", help="output format")
     p.add_argument("--out", dest="out_path", default=None, help="write output to FILE")
 
 
@@ -177,30 +179,15 @@ def _poly_payload(n: int, poly) -> dict:
 
 def _cmd_eval(args: argparse.Namespace) -> int:
     if args.target == "hermite":
-        poly = polyfam.hermite_recurrence(args.n)[args.n]
-        payload = _poly_payload(args.n, poly)
-        text = payload["polynomial"]
+        payload = _poly_payload(args.n, polyfam.hermite_recurrence(args.n)[args.n])
     elif args.target == "laguerre":
-        poly = polyfam.laguerre_recurrence(args.n, args.alpha)[args.n]
-        payload = _poly_payload(args.n, poly)
+        payload = _poly_payload(args.n, polyfam.laguerre_recurrence(args.n, args.alpha)[args.n])
         payload["alpha"] = str(args.alpha)
-        text = payload["polynomial"]
     elif args.target == "bessel":
-        if args.method == "series":
-            value = bessel.j_signed(args.n, args.x)
-        elif args.method == "integral":
-            # the integral representation is valid for any sign of n and x
-            value = bessel.j_integral_auto(args.n, args.x)
-        else:
-            value = bessel.j_miller(abs(args.n), abs(args.x))[abs(args.n)]
-            value *= (-1.0) ** args.n if args.n < 0 else 1.0
-            value *= (-1.0) ** args.n if args.x < 0 else 1.0
-        payload = {"n": args.n, "x": args.x, "method": args.method, "value": value}
-        text = _fmt_float(value)
+        payload = {"n": args.n, "x": args.x, "value": bessel.j_signed(args.n, args.x)}
     else:  # psi
-        value = polyfam.psi_eval(args.n, args.x).real
-        payload = {"n": args.n, "x": args.x, "value": value}
-        text = _fmt_float(value)
+        payload = {"n": args.n, "x": args.x, "value": polyfam.psi_eval(args.n, args.x).real}
+    text = payload["polynomial"] if "polynomial" in payload else _fmt_float(payload["value"])
     _emit(text if args.output == "text" else json.dumps(payload, sort_keys=True), args.out_path)
     return 0
 

@@ -112,7 +112,7 @@ def disentangle_closed(t: float) -> FactoredForm:
 def disentangle_ode_trajectory(q: QuadExponent, t_end: float, steps: int):
     """Yield (t_k, f, g, h) along a fixed-step classical RK4 integration."""
     if steps < 1:
-        raise ValueError("steps must be >= 1")
+        raise DomainError("steps must be >= 1")
     (f0, f1, f2), (g0, g1), h0 = system_coefficients(q)
     f = g = h = 0j
     yield 0.0, f, g, h
@@ -142,7 +142,7 @@ def disentangle_ode_trajectory(q: QuadExponent, t_end: float, steps: int):
 def disentangle_ode(q: QuadExponent, t_end: float, steps: int = 10_000) -> FactoredForm:
     """Integrate the factor ODEs from the identity out to t_end."""
     if steps < 1:
-        raise ValueError("steps must be >= 1")
+        raise DomainError("steps must be >= 1")
     if t_end == 0.0:
         return FactoredForm(0j, 0j, 0j, 0.0)
     for _, f, g, h in disentangle_ode_trajectory(q, t_end, steps):

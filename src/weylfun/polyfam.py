@@ -11,6 +11,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -218,9 +219,31 @@ def even_hermite_closed(t: complex, x0: complex) -> complex:
 
 # --------------------------------------------------------- psi functions
 
+_LOG_TINY = math.log(sys.float_info.min)  # below it e^(-x^2/2) is not a normal float
+_LOG_1E150 = math.log(1e150)
+
+
 def _psi_seq(x: complex):
     """Yield psi_0(x), psi_1(x), ...: the Hermite sequence from psi_0 = pi^(-1/4) e^(-x^2/2)."""
-    return _hermite_seq(x, math.pi ** -0.25 * cmath.exp(-x * x / 2))
+    log_w = -(x * x).real / 2
+    if log_w >= _LOG_TINY:
+        return _hermite_seq(x, math.pi ** -0.25 * cmath.exp(-x * x / 2))
+    return _psi_seq_scaled(x, log_w)
+
+
+def _psi_seq_scaled(x: complex, log_w: float):
+    """_psi_seq where e^(-x^2/2) is not a normal float, |x| >~ 37.6 (Bunck, BIT 49, 2009).
+
+    The recurrence runs from pi^(-1/4) e^(-i Im(x^2)/2) with the weight e^log_w held
+    apart, and folds a 1e-150 rescale into log_w whenever |psi| passes 1e150.
+    """
+    prev, cur = 0j, math.pi ** -0.25 * cmath.exp(-0.5j * (x * x).imag)
+    for n in itertools.count():
+        # with |cur| <= 1e150 the exp factor is normal wherever psi_n is
+        yield cur * 1e-150 * math.exp(log_w + _LOG_1E150)
+        prev, cur = cur, math.sqrt(2 / (n + 1)) * x * cur - math.sqrt(n / (n + 1)) * prev
+        if abs(cur) > 1e150:
+            prev, cur, log_w = prev * 1e-150, cur * 1e-150, log_w + _LOG_1E150
 
 
 def _psi_pair(n: int, x: complex) -> tuple:

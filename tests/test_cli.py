@@ -95,7 +95,7 @@ def test_verify_json_body_is_pinned(capsys):
     assert main(["verify", "--output", "json"]) == 0
     body = re.sub(r'"timestamp": "[^"]*"', '"timestamp": ""', capsys.readouterr().out)
     assert hashlib.sha256(body.encode()).hexdigest() == (
-        "9b91eebddbfe67fe1938e4b01c5246c84dcdbfe5fa311f55935d29ec76c8bf69"
+        "c4843b695837e7eab843e948f31bad1278d2c1937eb7d8e9f6c8343e5205af52"
     )
 
 
@@ -173,27 +173,29 @@ def test_eval_bessel_trivial(capsys):
     assert out == "1"
 
 
-@pytest.mark.parametrize("method", ["series", "integral", "miller"])
-def test_eval_bessel_methods_agree(capsys, method):
-    code, out, _ = run_cli(capsys, "eval", "bessel", "--n", "2", "--x", "1.5", "--method", method)
+def test_eval_bessel_past_the_series_range(capsys):
+    # the series alone printed 0.4043 here
+    code, out, _ = run_cli(capsys, "eval", "bessel", "--n", "0", "--x", "40")
     assert code == 0
-    assert float(out) == pytest.approx(0.23208767214421472, abs=1e-12)
+    assert float(out) == pytest.approx(0.00736689058423729, abs=1e-12)
+    code, out, _ = run_cli(capsys, "eval", "bessel", "--n=-3", "--x=-40", "--output", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert set(payload) == {"n", "x", "value"}
+    assert payload["value"] == pytest.approx(-0.1261448155058208, abs=1e-12)
 
 
-def test_eval_bessel_integral_unconverged_is_an_error(capsys):
-    code, out, err = run_cli(
-        capsys, "eval", "bessel", "--n", "0", "--x", "5000", "--method", "integral"
-    )
-    assert code == 1
-    assert out == "" and "AccuracyError" in err
+def test_eval_bessel_has_no_method_flag(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["eval", "bessel", "--n", "0", "--x", "1", "--method", "miller"])
+    assert err.value.code == 2
+    assert "--method" in capsys.readouterr().err
 
 
 def test_eval_bessel_miller_huge_x_is_an_error(capsys):
-    code, out, err = run_cli(
-        capsys, "eval", "bessel", "--n", "0", "--x", "1e12", "--method", "miller"
-    )
+    code, out, err = run_cli(capsys, "eval", "bessel", "--n", "0", "--x", "1e12")
     assert code == 1
-    assert out == "" and "DomainError" in err
+    assert out == "" and "error[DomainError]" in err
 
 
 def test_eval_bessel_negative_order(capsys):
@@ -207,6 +209,13 @@ def test_eval_psi(capsys):
     code, out, _ = run_cli(capsys, "eval", "psi", "--n", "0", "--x", "0")
     assert code == 0
     assert float(out) == pytest.approx(0.7511255444649425)
+
+
+def test_eval_psi_where_the_gaussian_underflows(capsys):
+    # e^(-800) underflows; the parent printed 0
+    code, out, _ = run_cli(capsys, "eval", "psi", "--n", "2000", "--x", "40")
+    assert code == 0
+    assert float(out) == pytest.approx(0.10766261188867067, rel=1e-11)
 
 
 def test_sum_even_hermite(capsys):
@@ -267,7 +276,7 @@ def test_disentangle_custom_exponent(capsys):
 def test_disentangle_zero_steps_is_an_error(capsys, t):
     code, out, err = run_cli(capsys, "disentangle", "--t", t, "--alpha", "1", "--steps", "0")
     assert code == 1 and out == ""
-    assert "steps must be >= 1" in err
+    assert "error[DomainError]: steps must be >= 1" in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -284,6 +293,8 @@ CAPPED_FLAGS = [
     ("eval hermite --n", cli.MAX_DEGREE), ("eval laguerre --n", cli.MAX_DEGREE),
     ("table hermite --n-max", cli.MAX_DEGREE), ("table laguerre --n-max", cli.MAX_DEGREE),
     ("disentangle --t 0.1 --alpha 1 --steps", cli.MAX_STEPS),
+    ("eval laguerre --n 2 --alpha", cli.MAX_ALPHA_TERM),
+    ("table laguerre --n-max 2 --alpha", cli.MAX_ALPHA_TERM),
 ]
 
 

@@ -219,6 +219,18 @@ def test_psi_against_mpmath(n):
         assert abs(polyfam.psi_derivative(n, x) - complex(dref)) <= 1e-12 * (1 + abs(dref))
 
 
+@pytest.mark.parametrize("n, x", [(2000, 40.0), (2000, 38.5), (5000, 90.0), (3000, -50.0),
+                                  (1500, 37.7), (60, 37.5)])
+def test_psi_where_the_gaussian_underflows(n, x):
+    # e^(-x^2/2) is below the smallest normal float from |x| ~ 37.6; the parent
+    # returned 0 at (2000, 40) and 0.0901 for 0.0887 at (2000, 38.5)
+    ref = psi_ref(n, x)
+    assert abs(polyfam.psi_eval(n, x) - complex(ref)) <= 1e-11 * abs(ref)
+    down = mpmath.sqrt(mpmath.mpf(n) / 2) * psi_ref(n - 1, x)
+    dref = down - mpmath.sqrt(mpmath.mpf(n + 1) / 2) * psi_ref(n + 1, x)
+    assert abs(polyfam.psi_derivative(n, x) - complex(dref)) <= 1e-11 * abs(dref)
+
+
 # each float evaluator that takes a point x, with its other arguments fixed
 X_EVALUATORS = {
     "psi_eval": lambda x: polyfam.psi_eval(3, x),
