@@ -135,23 +135,44 @@ def j_signed(n: int, x: float) -> float:
     return -value if flip and m % 2 else value
 
 
+def _j_orders(orders: range, x: float) -> dict:
+    """{k: J_k(x)} for k in orders with j_signed's signs, from one j_series call per |k|
+    for |x| <= 10 (the values j_signed gives) or one j_miller run to max |k| beyond.
+    Raises DomainError for an order above _MILLER_MAX_START before allocating.
+    """
+    top = max(abs(orders[0]), abs(orders[-1]))
+    if top > _MILLER_MAX_START:
+        raise DomainError(f"order {top} is above {_MILLER_MAX_START}")
+    series = abs(x) <= 10.0 or not math.isfinite(x)
+    row = {m: j_series(m, x) for m in {abs(k) for k in orders}} if series else j_miller(top, abs(x))
+    x_flip = not series and x < 0  # j_series applies J_n(-x) = (-1)^n J_n(x) itself
+    return {k: -row[abs(k)] if k % 2 and (k < 0) != x_flip else row[abs(k)] for k in orders}
+
+
+def _derivative(table: dict, n: int, m: int) -> float:
+    """2^-m sum_{k=0}^{m} (-1)^k C(m,k) J_{n-m+2k}, read from a _j_orders table."""
+    acc = 0.0
+    for k in range(m + 1):
+        acc += (-1) ** k * math.comb(m, k) * table[n - m + 2 * k]
+    return acc / 2.0 ** m
+
+
 def j_derivative_m(n: int, m: int, x: float) -> float:
     """m-th derivative: 2^-m sum_{k=0}^{m} (-1)^k C(m,k) J_{n-m+2k}."""
     if m < 0:
         raise ValueError("m must be >= 0")
-    acc = 0.0
-    for k in range(m + 1):
-        acc += (-1) ** k * math.comb(m, k) * j_signed(n - m + 2 * k, x)
-    return acc / 2.0 ** m
+    return _derivative(_j_orders(range(n - m, n + m + 1, 2), x), n, m)
 
 
 def j_addition(n: int, x: float, y: float, k_cut: int = 30) -> float:
     """Truncated addition formula sum_{|k|<=K} J_{n-k}(x) J_k(y)."""
     if k_cut < 0:
         raise ValueError("k_cut must be >= 0")
+    jx = _j_orders(range(n - k_cut, n + k_cut + 1), x)
+    jy = _j_orders(range(-k_cut, k_cut + 1), y)
     acc = 0.0
     for k in range(-k_cut, k_cut + 1):
-        acc += j_signed(n - k, x) * j_signed(k, y)
+        acc += jx[n - k] * jy[k]
     return acc
 
 
@@ -164,10 +185,10 @@ def jacobi_anger_partial(x: float, y: float, n_cut: int = 40) -> tuple:
     """
     if n_cut < 0:
         raise ValueError("n_cut must be >= 0")
-    cos_sum = 0j
-    sin_sum = 0j
+    table = _j_orders(range(-n_cut, n_cut + 1), x)
+    cos_sum = sin_sum = 0j
     for n in range(-n_cut, n_cut + 1):
-        jn = j_signed(n, x)
+        jn = table[n]
         phase = cmath.exp(1j * n * y)
         cos_sum += _I_POW[n % 4] * jn * phase
         sin_sum += jn * phase
@@ -180,9 +201,10 @@ def j_genfun_partial(t: float, x: float, n_cut: int) -> float:
         raise DomainError("generating variable t must be nonzero")
     if n_cut < 0:
         raise ValueError("n_cut must be >= 0")
+    table = _j_orders(range(-n_cut, n_cut + 1), x)
     acc = 0.0
     for n in range(-n_cut, n_cut + 1):
-        acc += t ** n * j_signed(n, x)
+        acc += t ** n * table[n]
     return acc
 
 
@@ -190,19 +212,19 @@ def j_translate_partial(n: int, x: float, y: float, m_cut: int = 30) -> float:
     """Taylor translation sum_{m<=M} y^m/m! d^m/dx^m J_n(x)."""
     if m_cut < 0:
         raise ValueError("m_cut must be >= 0")
+    table = _j_orders(range(n - m_cut, n + m_cut + 1), x)
     acc = 0.0
     weight = 1.0  # y^m / m!
     for m in range(m_cut + 1):
-        acc += weight * j_derivative_m(n, m, x)
+        acc += weight * _derivative(table, n, m)
         weight *= y / (m + 1)
     return acc
 
 
 def j_ode_residual(n: int, x: float) -> float:
-    """x^2 y'' + x y' + (x^2 - n^2) y with derivatives from j_derivative_m."""
+    """x^2 y'' + x y' + (x^2 - n^2) y with derivatives from the m-th derivative formula."""
     if not x > 0:
         raise DomainError(f"residual is evaluated for x > 0, got {x!r}")
-    y = j_signed(n, x)
-    y1 = j_derivative_m(n, 1, x)
-    y2 = j_derivative_m(n, 2, x)
+    table = _j_orders(range(n - 2, n + 3), x)
+    y, y1, y2 = table[n], _derivative(table, n, 1), _derivative(table, n, 2)
     return x * x * y2 + x * y1 + (x * x - n * n) * y

@@ -19,8 +19,9 @@ from .algebra import format_poly
 from .errors import WeylfunError
 
 # Caps on the flags whose cost grows without bound.  At the cap the costliest
-# form takes ~1.6 s and 90 MB (table laguerre --alpha=97/99 --format json) and
-# ~4.2 s and 16 MB (disentangle --steps) on a 2-vCPU Xeon VM.  Each Laguerre
+# form takes ~1.6 s and 90 MB (table laguerre --alpha=97/99 --format json),
+# ~4.2 s and 16 MB (disentangle --steps), ~0.6 s (eval psi --n) and ~1.5 s
+# (sum even-hermite --N) on a 2-vCPU Xeon VM.  Each Laguerre
 # coefficient carries alpha's p and q: --alpha=9999/10001 took ~2.1 s and 122 MB.
 MAX_DEGREE = 200
 MAX_STEPS = 1_000_000
@@ -58,6 +59,7 @@ def _nonneg_int(text: str, limit: int | None = None) -> int:
 
 
 _degree = partial(_nonneg_int, limit=MAX_DEGREE)
+_steps = partial(_nonneg_int, limit=MAX_STEPS)
 _alpha = partial(_fraction_flag, limit=MAX_ALPHA_TERM)
 _ALPHA_HELP = f"order alpha, decimal or p/q (default 0), |p| and q at most {MAX_ALPHA_TERM:,}"
 
@@ -91,7 +93,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _output_flags(ev_b)
 
     ev_p = evsub.add_parser("psi", help="evaluate the normalized oscillator function psi_n(x)")
-    ev_p.add_argument("--n", type=_nonneg_int, required=True)
+    ev_p.add_argument("--n", type=_steps, required=True, help=f"n >= 0, at most {MAX_STEPS:,}")
     ev_p.add_argument("--x", type=float, required=True)
     _output_flags(ev_p)
 
@@ -101,8 +103,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sm_e.add_argument("--t", type=_fraction_flag, required=True,
                       help="series variable, decimal or p/q; closed form needs t > -1/4")
     sm_e.add_argument("--x", type=float, required=True)
-    sm_e.add_argument("--N", dest="n_terms", type=_nonneg_int, default=None,
-                      help="also report the partial sum with N+1 terms")
+    sm_e.add_argument("--N", dest="n_terms", type=_steps, default=None,
+                      help=f"also report the partial sum with N+1 terms, N at most {MAX_STEPS:,}")
     _output_flags(sm_e)
 
     ds = sub.add_parser(
@@ -114,7 +116,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ds.add_argument("--beta", type=_complex_flag, default=None,
                     help="coefficient of xp+px (accepts forms like -2i)")
     ds.add_argument("--gamma", type=_complex_flag, default=None, help="coefficient of p^2")
-    ds.add_argument("--steps", type=partial(_nonneg_int, limit=MAX_STEPS), default=10_000,
+    ds.add_argument("--steps", type=_steps, default=10_000,
                     help=f"RK4 steps (custom exponent), at most {MAX_STEPS:,}")
     _output_flags(ds)
 

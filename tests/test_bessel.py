@@ -265,6 +265,134 @@ def test_ode_residual_domain():
         bessel.j_ode_residual(0, 0.0)
 
 
+# ------------------------------------------------- one table per identity sum
+
+@pytest.fixture
+def bessel_calls(monkeypatch):
+    """Count the calls of one bessel evaluator made through the module."""
+    def install(name):
+        calls = []
+        inner = getattr(bessel, name)
+
+        def counted(*args):
+            calls.append(args)
+            return inner(*args)
+
+        monkeypatch.setattr(bessel, name, counted)
+        return calls
+    return install
+
+
+def test_translation_evaluates_each_order_once(bessel_calls):
+    series = bessel_calls("j_series")
+    bessel.j_translate_partial(3, 2.5, 0.4, 30)
+    assert len(series) <= 34  # |orders| 0..33; one j_signed per term made 496 calls
+
+
+def test_derivative_evaluates_one_parity(bessel_calls):
+    series = bessel_calls("j_series")
+    bessel.j_derivative_m(4, 3, 2.0)
+    assert sorted(n for n, _ in series) == [1, 3, 5, 7]
+
+
+def test_jacobi_anger_makes_one_miller_run(bessel_calls):
+    miller = bessel_calls("j_miller")
+    bessel.jacobi_anger_partial(20000.0, 0.3, 40)
+    assert len(miller) == 1  # one run per order made 81
+
+
+HUGE_CUT = 10**9
+IDENTITY_SUMS_AT_A_HUGE_CUT = [
+    lambda: bessel.j_derivative_m(0, HUGE_CUT, 1.0),
+    lambda: bessel.j_addition(0, 1.0, 0.5, HUGE_CUT),
+    lambda: bessel.jacobi_anger_partial(1.0, 0.0, HUGE_CUT),
+    lambda: bessel.j_genfun_partial(0.5, 1.0, HUGE_CUT),
+    lambda: bessel.j_translate_partial(0, 1.0, 0.5, HUGE_CUT),
+    lambda: bessel.j_ode_residual(HUGE_CUT, 1.0),
+]
+
+
+@pytest.mark.parametrize("identity_sum", IDENTITY_SUMS_AT_A_HUGE_CUT)
+def test_identity_sum_rejects_an_order_above_the_limit(bessel_calls, identity_sum):
+    series, miller = bessel_calls("j_series"), bessel_calls("j_miller")
+    with pytest.raises(DomainError, match="above 100000"):
+        identity_sum()
+    assert series == [] and miller == []  # raised before evaluating a single order
+
+
+def naive_derivative(n, m, x):
+    acc = 0.0
+    for k in range(m + 1):
+        acc += (-1) ** k * math.comb(m, k) * bessel.j_signed(n - m + 2 * k, x)
+    return acc / 2.0 ** m
+
+
+def naive_addition(n, x, y, k_cut):
+    acc = 0.0
+    for k in range(-k_cut, k_cut + 1):
+        acc += bessel.j_signed(n - k, x) * bessel.j_signed(k, y)
+    return acc
+
+
+def naive_jacobi_anger(x, y, n_cut):
+    cos_sum = sin_sum = 0j
+    for n in range(-n_cut, n_cut + 1):
+        jn = bessel.j_signed(n, x)
+        phase = cmath.exp(1j * n * y)
+        cos_sum += 1j ** (n % 4) * jn * phase
+        sin_sum += jn * phase
+    return cos_sum, sin_sum
+
+
+def naive_genfun(t, x, n_cut):
+    acc = 0.0
+    for n in range(-n_cut, n_cut + 1):
+        acc += t ** n * bessel.j_signed(n, x)
+    return acc
+
+
+def naive_translate(n, x, y, m_cut):
+    acc, weight = 0.0, 1.0
+    for m in range(m_cut + 1):
+        acc += weight * naive_derivative(n, m, x)
+        weight *= y / (m + 1)
+    return acc
+
+
+@pytest.mark.parametrize("x", [s * v for v in (0.3, 1.0, 2.5, 4.7, 7.25, 9.99, 10.0)
+                               for s in (1, -1)])
+def test_identity_sums_equal_per_order_sums_in_the_series_range(x):
+    # bit-equal to one j_signed call per term, so the verify report stays byte-stable
+    for n in (-5, 0, 3):
+        for m in (0, 1, 4, 7):
+            assert bessel.j_derivative_m(n, m, x) == naive_derivative(n, m, x)
+        assert bessel.j_addition(n, x, 1.3, 30) == naive_addition(n, x, 1.3, 30)
+        assert bessel.j_addition(n, 0.8, x, 30) == naive_addition(n, 0.8, x, 30)
+        assert bessel.j_translate_partial(n, x, -0.4, 30) == naive_translate(n, x, -0.4, 30)
+    assert bessel.jacobi_anger_partial(x, 0.9, 40) == naive_jacobi_anger(x, 0.9, 40)
+    for t in (0.75, -1.25):
+        assert bessel.j_genfun_partial(t, x, 40) == naive_genfun(t, x, 40)
+    if x > 0:
+        for n in (-4, 0, 2):
+            y = bessel.j_signed(n, x)
+            y1, y2 = naive_derivative(n, 1, x), naive_derivative(n, 2, x)
+            assert bessel.j_ode_residual(n, x) == x * x * y2 + x * y1 + (x * x - n * n) * y
+
+
+@pytest.mark.parametrize("x", [1000.0, -1000.0, 20000.0])
+def test_one_miller_table_matches_mpmath_partial_sums(x):
+    with mpmath.workdps(30):
+        row = {n: mpmath.besselj(n, x) for n in range(-40, 41)}
+        y, t = mpmath.mpf("0.3"), mpmath.mpf("-0.9")
+        cos_want = complex(sum(mpmath.mpc(0, 1) ** n * row[n] * mpmath.expj(n * y) for n in row))
+        sin_want = complex(sum(row[n] * mpmath.expj(n * y) for n in row))
+        gen_want = float(sum(t ** n * row[n] for n in row))
+    cos_sum, sin_sum = bessel.jacobi_anger_partial(x, 0.3, 40)
+    assert abs(cos_sum - cos_want) <= 1e-12
+    assert abs(sin_sum - sin_want) <= 1e-12
+    assert abs(bessel.j_genfun_partial(-0.9, x, 40) - gen_want) <= 1e-12
+
+
 # ------------------------------------------------------------ cross checks
 
 @pytest.mark.parametrize("x", [0.5, 1.0, 5.0, 10.0])

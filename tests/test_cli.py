@@ -293,6 +293,7 @@ CAPPED_FLAGS = [
     ("eval hermite --n", cli.MAX_DEGREE), ("eval laguerre --n", cli.MAX_DEGREE),
     ("table hermite --n-max", cli.MAX_DEGREE), ("table laguerre --n-max", cli.MAX_DEGREE),
     ("disentangle --t 0.1 --alpha 1 --steps", cli.MAX_STEPS),
+    ("eval psi --x 1 --n", cli.MAX_STEPS), ("sum even-hermite --t 0.1 --x 1 --N", cli.MAX_STEPS),
     ("eval laguerre --n 2 --alpha", cli.MAX_ALPHA_TERM),
     ("table laguerre --n-max 2 --alpha", cli.MAX_ALPHA_TERM),
 ]
@@ -313,6 +314,14 @@ def test_flag_above_its_cap_is_a_usage_error(capsys, prefix, cap):
 def test_degree_at_the_cap_runs(capsys):
     code, out, _ = run_cli(capsys, "eval", "hermite", "--n", str(cli.MAX_DEGREE))
     assert code == 0 and out.startswith(f"{2 ** cli.MAX_DEGREE}*x^{cli.MAX_DEGREE}")
+
+
+def test_float_recurrences_at_the_cap_run(capsys):
+    code, out, _ = run_cli(capsys, "eval", "psi", "--n", str(cli.MAX_STEPS), "--x", "1")
+    assert code == 0 and abs(float(out)) <= 1.0
+    code, out, _ = run_cli(capsys, "sum", "even-hermite", "--t", "0.1", "--x", "1",
+                           "--N", str(cli.MAX_STEPS), "--output", "json")
+    assert code == 0 and json.loads(out)["abs_err"] <= 1e-14
 
 
 def test_disentangle_complex_flag_syntax(capsys):
