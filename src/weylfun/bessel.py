@@ -113,40 +113,39 @@ def j_miller(n_max: int, x: float) -> list:
     vals[start] = 1.0
     for k in range(start, 0, -1):
         vals[k - 1] = (2.0 * k / x) * vals[k] - vals[k + 1]
-        if abs(vals[k - 1]) > 1e250:
+        while abs(vals[k - 1]) > 1e250:
             for i in range(k - 1, start + 2):
                 vals[i] *= 1e-250
+            if math.isinf(vals[k - 1]):  # tiny x overflowed the step: redo it from the scaled row
+                vals[k - 1] = 2.0 * k * vals[k] / x - vals[k + 1]
     norm = vals[0] + 2.0 * sum(vals[k] for k in range(2, start + 1, 2))
     return [v / norm for v in vals[: n_max + 1]]
 
 
 def j_signed(n: int, x: float) -> float:
-    """J_n(x) for any integer n and real x: the series for |x| <= 10, where it
-    loses at most ~e^10 eps to cancellation, and j_miller beyond.
+    """J_n(x) for any integer n and real x, read from a one-order _j_orders table."""
+    return _j_orders(range(n, n + 1), x)[n]
+
+
+def _j_orders(orders: range, x: float) -> dict:
+    """{k: J_k(x)} for k in orders: one j_series call per |k| at |x| for |x| <= 10,
+    where the series loses at most ~e^10 eps to cancellation, or one j_miller run
+    to max |k| beyond.  Raises DomainError for a non-finite x or an order above
+    _MILLER_MAX_START before evaluating anything.
 
     J_{-n} = (-1)^n J_n and J_n(-x) = (-1)^n J_n(x) are forced by the
     t -> -1/t and t -> -t symmetries of the generating function.
     """
-    m = abs(n)
-    if abs(x) <= 10.0 or not math.isfinite(x):  # j_series names a non-finite x
-        value, flip = j_series(m, x), n < 0
-    else:
-        value, flip = j_miller(m, abs(x))[m], (n < 0) != (x < 0)
-    return -value if flip and m % 2 else value
-
-
-def _j_orders(orders: range, x: float) -> dict:
-    """{k: J_k(x)} for k in orders with j_signed's signs, from one j_series call per |k|
-    for |x| <= 10 (the values j_signed gives) or one j_miller run to max |k| beyond.
-    Raises DomainError for an order above _MILLER_MAX_START before allocating.
-    """
+    if not math.isfinite(x):
+        raise DomainError(f"x must be finite, got {x!r}")
     top = max(abs(orders[0]), abs(orders[-1]))
     if top > _MILLER_MAX_START:
         raise DomainError(f"order {top} is above {_MILLER_MAX_START}")
-    series = abs(x) <= 10.0 or not math.isfinite(x)
-    row = {m: j_series(m, x) for m in {abs(k) for k in orders}} if series else j_miller(top, abs(x))
-    x_flip = not series and x < 0  # j_series applies J_n(-x) = (-1)^n J_n(x) itself
-    return {k: -row[abs(k)] if k % 2 and (k < 0) != x_flip else row[abs(k)] for k in orders}
+    if abs(x) <= 10.0:
+        row = {m: j_series(m, abs(x)) for m in {abs(k) for k in orders}}
+    else:
+        row = j_miller(top, abs(x))
+    return {k: -row[abs(k)] if k % 2 and (k < 0) != (x < 0) else row[abs(k)] for k in orders}
 
 
 def _derivative(table: dict, n: int, m: int) -> float:
@@ -185,6 +184,8 @@ def jacobi_anger_partial(x: float, y: float, n_cut: int = 40) -> tuple:
     """
     if n_cut < 0:
         raise ValueError("n_cut must be >= 0")
+    if not math.isfinite(y):
+        raise DomainError(f"y must be finite, got {y!r}")
     table = _j_orders(range(-n_cut, n_cut + 1), x)
     cos_sum = sin_sum = 0j
     for n in range(-n_cut, n_cut + 1):
@@ -197,6 +198,8 @@ def jacobi_anger_partial(x: float, y: float, n_cut: int = 40) -> tuple:
 
 def j_genfun_partial(t: float, x: float, n_cut: int) -> float:
     """Two-sided partial sum of sum t^n J_n(x) (compare e^{x(t-1/t)/2})."""
+    if not math.isfinite(t):
+        raise DomainError(f"t must be finite, got {t!r}")
     if t == 0:
         raise DomainError("generating variable t must be nonzero")
     if n_cut < 0:
@@ -212,6 +215,8 @@ def j_translate_partial(n: int, x: float, y: float, m_cut: int = 30) -> float:
     """Taylor translation sum_{m<=M} y^m/m! d^m/dx^m J_n(x)."""
     if m_cut < 0:
         raise ValueError("m_cut must be >= 0")
+    if not math.isfinite(y):
+        raise DomainError(f"y must be finite, got {y!r}")
     table = _j_orders(range(n - m_cut, n + m_cut + 1), x)
     acc = 0.0
     weight = 1.0  # y^m / m!

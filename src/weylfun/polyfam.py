@@ -104,60 +104,37 @@ def hermite_ode_residual(n: int) -> UniPoly:
     return d1.derivative() - UniPoly.monomial(1, 2) * d1 + h * (2 * n)
 
 
-class _Root2:
-    """Element (a + b*sqrt(2)) / d of Q(sqrt 2): ints with d > 0 and gcd(a, b, d) == 1."""
+def _hermite_sqrt2(n: int, x: Fraction) -> list:
+    """Integers R_0..R_n with H_k(sqrt2 x) = sqrt2^(k mod 2) R_k / q^k, for x = p/q.
 
-    __slots__ = ("a", "b", "d")
-
-    def __init__(self, a: int = 0, b: int = 0, d: int = 1):
-        g = math.gcd(a, b, d)
-        self.a, self.b, self.d = a // g, b // g, d // g
-
-    def __add__(self, o: "_Root2") -> "_Root2":
-        return _Root2(self.a * o.d + o.a * self.d, self.b * o.d + o.b * self.d, self.d * o.d)
-
-    def __mul__(self, o: "_Root2") -> "_Root2":
-        return _Root2(self.a * o.a + 2 * self.b * o.b, self.a * o.b + self.b * o.a, self.d * o.d)
-
-    def scaled(self, c: int) -> "_Root2":
-        return _Root2(self.a * c, self.b * c, self.d)
-
-
-def _hermite_root2(n: int, z: _Root2) -> list:
-    """H_0(z)..H_n(z) in a + b*sqrt(2) by H_{k+1} = 2z H_k - 2k H_{k-1}."""
-    two_z = z.scaled(2)
-    hs = [_Root2(), _Root2(1)]  # H_{-1} (never weighted) and H_0
+    H_k has the parity of k, so the sqrt(2) of z = sqrt2 x factors out of
+    H_{k+1} = 2z H_k - 2k H_{k-1}: R_{k+1} = (2 if k is even, else 4) p R_k - 2k q^2 R_{k-1}.
+    """
+    p, q = x.numerator, x.denominator
+    rs = [0, 1]  # R_{-1} (never weighted) and R_0
     for k in range(n):
-        hs.append(two_z * hs[-1] + hs[-2].scaled(-2 * k))
-    return hs[1:]
+        rs.append((4 if k % 2 else 2) * p * rs[-1] - 2 * k * q * q * rs[-2])
+    return rs[1:]
 
 
 def hermite_addition_check(n: int, x0, y0) -> tuple:
     """Both sides of H_n(x+y) = 2^(-n/2) sum_k C(n,k) H_k(sqrt2 x) H_{n-k}(sqrt2 y).
 
-    The sqrt(2) side runs the Hermite recurrence exactly in the extension
-    field a + b*sqrt(2); the residual sqrt(2) always cancels, so both
-    returned values are real Gaussian rationals.
+    With H_k(sqrt2 x) from _hermite_sqrt2, each term carries sqrt2^(k mod 2 + (n-k) mod 2);
+    times 2^(-n/2) that is a power of two, so the right side is one integer sum over
+    (q_x q_y)^n 2^(n//2).  Both returned values are real Gaussian rationals.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    x0 = Fraction(x0)
-    y0 = Fraction(y0)
+    x0, y0 = Fraction(x0), Fraction(y0)
     lhs = _hermite_upto(n)[n].evaluate(GaussRational(x0 + y0))
-    hx = _hermite_root2(n, _Root2(0, x0.numerator, x0.denominator))
-    hy = _hermite_root2(n, _Root2(0, y0.numerator, y0.denominator))
-
-    total = _Root2()
+    hx, hy = _hermite_sqrt2(n, x0), _hermite_sqrt2(n, y0)
+    qx, qy = x0.denominator, y0.denominator
+    total = 0
     for k in range(n + 1):
-        total = total + (hx[k] * hy[n - k]).scaled(math.comb(n, k))
-    if n % 2 == 0:
-        pref = _Root2(1, 0, 2 ** (n // 2))
-    else:
-        pref = _Root2(0, 1, 2 ** ((n + 1) // 2))
-    rhs = pref * total
-    if rhs.b:
-        raise RuntimeError(f"sqrt(2) failed to cancel in the addition formula at n={n}")
-    return lhs, GaussRational(Fraction(rhs.a, rhs.d))
+        term = math.comb(n, k) * hx[k] * qx ** (n - k) * hy[n - k] * qy ** k
+        total += term << (k % 2 + (n - k) % 2) // 2  # sqrt2^2 = 2 when k and n-k are odd
+    return lhs, GaussRational(Fraction(total, (qx * qy) ** n << n // 2))
 
 
 def _hermite_seq(x: complex, h0: complex):
@@ -173,11 +150,11 @@ def _hermite_seq(x: complex, h0: complex):
         prev, cur = cur, math.sqrt(2 / (n + 1)) * x * cur - math.sqrt(n / (n + 1)) * prev
 
 
-def _finite(x0: complex) -> complex:
-    """complex(x0), or DomainError when a part is inf or nan."""
+def _finite(x0: complex, name: str = "x") -> complex:
+    """complex(x0), or DomainError naming the argument when a part is inf or nan."""
     x = complex(x0)
     if not cmath.isfinite(x):
-        raise DomainError(f"x must be finite, got {x0!r}")
+        raise DomainError(f"{name} must be finite, got {x0!r}")
     return x
 
 
@@ -185,7 +162,7 @@ def hermite_genfun_partial(gen_alpha: complex, x0: complex, n_terms: int) -> com
     """Partial sum sum_{n<=N} H_n(x) gen_alpha^n / n! (compare e^(-a^2+2ax))."""
     if n_terms < 0:
         raise ValueError("n_terms must be >= 0")
-    a = complex(gen_alpha)
+    a = _finite(gen_alpha, "gen_alpha")
     acc = 0j
     weight = 1.0 + 0j  # a^n sqrt(2^n n!) / n!
     for n, hn in zip(range(n_terms + 1), _hermite_seq(_finite(x0), 1.0)):
@@ -198,7 +175,7 @@ def even_hermite_partial(t: complex, x0: complex, n_terms: int) -> complex:
     """Partial sum sum_{n<=N} t^n/n! H_{2n}(x); meaningful for |t| < 1/4."""
     if n_terms < 0:
         raise ValueError("n_terms must be >= 0")
-    tt = complex(t)
+    tt = _finite(t, "t")
     acc = 0j
     weight = 1.0 + 0j  # t^n sqrt(4^n (2n)!) / n!
     evens = itertools.islice(_hermite_seq(_finite(x0), 1.0), 0, None, 2)
@@ -210,11 +187,12 @@ def even_hermite_partial(t: complex, x0: complex, n_terms: int) -> complex:
 
 def even_hermite_closed(t: complex, x0: complex) -> complex:
     """Closed form (4t+1)^(-1/2) exp(4t x^2 / (4t+1)) of the even-index sum."""
-    w = 4 * complex(t) + 1
+    tt = _finite(t, "t")
+    w = 4 * tt + 1
     if w.imag == 0.0 and w.real <= 0.0:
         raise SingularityError(f"closed form is singular on 4t+1 <= 0 (got 4t+1 = {w.real})")
     x = _finite(x0)
-    return cmath.exp(4 * complex(t) * x * x / w) / cmath.sqrt(w)
+    return cmath.exp(4 * tt * x * x / w) / cmath.sqrt(w)
 
 
 # --------------------------------------------------------- psi functions
@@ -343,7 +321,7 @@ def laguerre_genfun_partial(t: complex, x0: complex, order_alpha, n_terms: int) 
     """Partial sum sum_{n<=N} L_n^a(x) t^n (compare (1-t)^-(a+1) e^(-xt/(1-t)))."""
     if n_terms < 0:
         raise ValueError("n_terms must be >= 0")
-    tt = complex(t)
+    tt = _finite(t, "t")
     if abs(tt) >= 1:
         raise DomainError(f"generating function requires |t| < 1, got |t| = {abs(tt)}")
     a = float(Fraction(order_alpha))

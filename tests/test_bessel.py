@@ -1,6 +1,7 @@
 import cmath
 import inspect
 import math
+import sys
 
 import mpmath
 import pytest
@@ -127,6 +128,19 @@ def test_miller_j0_against_mpmath(x):
     assert abs(bessel.j_miller(0, x)[0] - want) <= 1e-14 * (1 + abs(want))
 
 
+@pytest.mark.parametrize("x", [5e-324, 1e-300, 1e-100, 1e-65, 1e-60])
+def test_miller_tiny_x_against_mpmath(x):
+    # one downward step (2k/x) J_k used to overflow before the rescale, and inf - inf gave nan
+    with mpmath.workdps(40):
+        want = [mpmath.besselj(n, x) for n in range(6)]
+    got = bessel.j_miller(5, x)
+    for n in range(6):
+        if abs(want[n]) >= sys.float_info.min:
+            assert abs(got[n] - want[n]) <= 1e-14 * abs(want[n]), n
+        else:  # J_n(x) is below the normal floats
+            assert abs(got[n] - want[n]) <= sys.float_info.min, n
+
+
 @pytest.mark.parametrize("method", ["series", "integral", "miller"])
 def test_three_methods_agree(method):
     value = {
@@ -167,6 +181,36 @@ def test_signed_against_mpmath(x):
     for n in range(-45, 46):
         want = float(mpmath.besselj(n, x))
         assert abs(bessel.j_signed(n, x) - want) <= 1e-12 * (1 + abs(want)), n
+
+
+def _signed_model(n, x):
+    """J_n(x) from one evaluator call, apart from the _j_orders table that j_signed reads:
+    j_series(|n|, x) for |x| <= 10 and j_miller(|n|, |x|)[|n|] beyond, signs written out."""
+    m = abs(n)
+    if abs(x) <= 10.0:
+        value, flip = bessel.j_series(m, x), n < 0  # j_series applies J_m(-x) = (-1)^m J_m(x)
+    else:
+        value, flip = bessel.j_miller(m, abs(x))[m], (n < 0) != (x < 0)
+    return -value if flip and m % 2 else value
+
+
+@pytest.mark.parametrize("x", [0.0, -0.0, 1e-300, 0.3, -0.3, 5.0, -7.5, 9.99, 10.0, -10.0,
+                               10.5, -13.0, 40.0, -1000.0])
+def test_signed_equals_the_per_method_model(x):
+    for n in range(-60, 61):
+        assert bessel.j_signed(n, x).hex() == _signed_model(n, x).hex(), n
+
+
+@pytest.mark.parametrize("x", [1.0, -3.0, 11.0])
+def test_signed_rejects_an_order_above_the_limit_for_every_x(x):
+    # the series used to return 0.0 here while |x| > 10 already raised
+    for n in (100_001, -100_001):
+        with pytest.raises(DomainError, match="above 100000"):
+            bessel.j_signed(n, x)
+
+
+def test_signed_at_the_order_limit():
+    assert bessel.j_signed(100_000, 1.0) == 0.0
 
 
 def test_signed_rejects_what_no_method_covers():
@@ -323,21 +367,21 @@ def test_identity_sum_rejects_an_order_above_the_limit(bessel_calls, identity_su
 def naive_derivative(n, m, x):
     acc = 0.0
     for k in range(m + 1):
-        acc += (-1) ** k * math.comb(m, k) * bessel.j_signed(n - m + 2 * k, x)
+        acc += (-1) ** k * math.comb(m, k) * _signed_model(n - m + 2 * k, x)
     return acc / 2.0 ** m
 
 
 def naive_addition(n, x, y, k_cut):
     acc = 0.0
     for k in range(-k_cut, k_cut + 1):
-        acc += bessel.j_signed(n - k, x) * bessel.j_signed(k, y)
+        acc += _signed_model(n - k, x) * _signed_model(k, y)
     return acc
 
 
 def naive_jacobi_anger(x, y, n_cut):
     cos_sum = sin_sum = 0j
     for n in range(-n_cut, n_cut + 1):
-        jn = bessel.j_signed(n, x)
+        jn = _signed_model(n, x)
         phase = cmath.exp(1j * n * y)
         cos_sum += 1j ** (n % 4) * jn * phase
         sin_sum += jn * phase
@@ -347,7 +391,7 @@ def naive_jacobi_anger(x, y, n_cut):
 def naive_genfun(t, x, n_cut):
     acc = 0.0
     for n in range(-n_cut, n_cut + 1):
-        acc += t ** n * bessel.j_signed(n, x)
+        acc += t ** n * _signed_model(n, x)
     return acc
 
 
@@ -362,7 +406,7 @@ def naive_translate(n, x, y, m_cut):
 @pytest.mark.parametrize("x", [s * v for v in (0.3, 1.0, 2.5, 4.7, 7.25, 9.99, 10.0)
                                for s in (1, -1)])
 def test_identity_sums_equal_per_order_sums_in_the_series_range(x):
-    # bit-equal to one j_signed call per term, so the verify report stays byte-stable
+    # bit-equal to one evaluator call per term, so the verify report stays byte-stable
     for n in (-5, 0, 3):
         for m in (0, 1, 4, 7):
             assert bessel.j_derivative_m(n, m, x) == naive_derivative(n, m, x)
@@ -374,7 +418,7 @@ def test_identity_sums_equal_per_order_sums_in_the_series_range(x):
         assert bessel.j_genfun_partial(t, x, 40) == naive_genfun(t, x, 40)
     if x > 0:
         for n in (-4, 0, 2):
-            y = bessel.j_signed(n, x)
+            y = _signed_model(n, x)
             y1, y2 = naive_derivative(n, 1, x), naive_derivative(n, 2, x)
             assert bessel.j_ode_residual(n, x) == x * x * y2 + x * y1 + (x * x - n * n) * y
 
@@ -391,6 +435,22 @@ def test_one_miller_table_matches_mpmath_partial_sums(x):
     assert abs(cos_sum - cos_want) <= 1e-12
     assert abs(sin_sum - sin_want) <= 1e-12
     assert abs(bessel.j_genfun_partial(-0.9, x, 40) - gen_want) <= 1e-12
+
+
+# each identity sum with a float variable that never reaches an evaluator
+VARIABLE_SUMS = {
+    "j_genfun_partial": ("t", lambda t: bessel.j_genfun_partial(t, 1.0, 10)),
+    "jacobi_anger_partial": ("y", lambda y: bessel.jacobi_anger_partial(1.0, y, 10)),
+    "j_translate_partial": ("y", lambda y: bessel.j_translate_partial(1, 1.0, y, 10)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VARIABLE_SUMS))
+@pytest.mark.parametrize("v", [math.nan, math.inf, -math.inf])
+def test_identity_sums_reject_a_non_finite_variable(name, v):
+    arg, evaluate = VARIABLE_SUMS[name]
+    with pytest.raises(DomainError, match=f"{arg} must be finite"):
+        evaluate(v)
 
 
 # ------------------------------------------------------------ cross checks

@@ -198,6 +198,13 @@ def test_eval_bessel_miller_huge_x_is_an_error(capsys):
     assert out == "" and "error[DomainError]" in err
 
 
+def test_eval_bessel_order_above_the_limit_is_an_error(capsys):
+    # the series used to print 0 here while the same order raised for |x| > 10
+    code, out, err = run_cli(capsys, "eval", "bessel", "--n", "100001", "--x", "1")
+    assert code == 1
+    assert out == "" and "error[DomainError]" in err
+
+
 def test_eval_bessel_negative_order(capsys):
     code, out, _ = run_cli(capsys, "eval", "bessel", "--n", "-1", "--x", "1.0")
     code2, out2, _ = run_cli(capsys, "eval", "bessel", "--n", "1", "--x", "1.0")

@@ -128,6 +128,15 @@ def test_addition_formula_sweep():
             assert lhs == rhs
 
 
+@pytest.mark.parametrize("x", [Fraction(0), Fraction(-3, 2), Fraction(5, 4), Fraction(7, 5)])
+def test_hermite_sqrt2_integers_against_the_exact_polynomials(x):
+    # H_k(sqrt2 x) / sqrt2^(k mod 2) = sum over j = k (mod 2) of c_j 2^((j - k mod 2)/2) x^j
+    for k in range(31):
+        h = polyfam.hermite_recurrence(k)[k]
+        want = sum(c.re * 2 ** ((j - k % 2) // 2) * x ** j for j, c in h.terms())
+        assert Fraction(polyfam._hermite_sqrt2(k, x)[k], x.denominator ** k) == want, k
+
+
 # ----------------------------------------------------- generating functions
 
 def test_hermite_genfun_at_zero():
@@ -249,6 +258,23 @@ def test_float_evaluators_reject_non_finite_x(name):
         with pytest.raises(DomainError, match="x must be finite"):
             X_EVALUATORS[name](x)
     assert cmath.isfinite(X_EVALUATORS[name](complex(0.5, 0.25)))
+
+
+# each float evaluator with a series variable, with its other arguments fixed
+T_EVALUATORS = {
+    "laguerre_genfun_partial": ("t", lambda t: polyfam.laguerre_genfun_partial(t, 1.0, 0, 10)),
+    "hermite_genfun_partial": ("gen_alpha", lambda a: polyfam.hermite_genfun_partial(a, 1.0, 10)),
+    "even_hermite_partial": ("t", lambda t: polyfam.even_hermite_partial(t, 1.0, 10)),
+    "even_hermite_closed": ("t", lambda t: polyfam.even_hermite_closed(t, 1.0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(T_EVALUATORS))
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, complex(0.1, math.nan)])
+def test_float_evaluators_reject_a_non_finite_series_variable(name, t):
+    arg, evaluate = T_EVALUATORS[name]
+    with pytest.raises(DomainError, match=f"{arg} must be finite"):
+        evaluate(t)
 
 
 def test_psi_high_order_value():
