@@ -121,9 +121,8 @@ def _build_parser() -> argparse.ArgumentParser:
     _output_flags(ds)
 
     vf = sub.add_parser("verify", help="run the identity check registry and report")
-    vf.add_argument("--filter", default=harness.SuiteConfig.filter,
-                    help="fnmatch pattern over check names")
-    vf.add_argument("--seed", type=int, default=harness.SuiteConfig.seed,
+    vf.add_argument("--filter", default="*", help="fnmatch pattern over check names")
+    vf.add_argument("--seed", type=int, default=harness.SEED,
                     help="seed for randomized exact checks")
     _output_flags(vf, formats=("text", "json", "csv"))
 
@@ -240,28 +239,27 @@ def _cmd_disentangle(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    report = harness.run_suite(harness.SuiteConfig(args.filter, args.seed))
+    report = harness.run_suite(args.filter, args.seed)
+    counts = report["counts"]
     if args.output == "json":
         text = harness.report_serialize(report).rstrip("\n")
     elif args.output == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf)
-        writer.writerow(["name", "pass", "exact", "abs_err", "tolerance"])
-        for c in report.checks:
-            writer.writerow([c.name, c.passed, c.exact, repr(c.abs_err), repr(c.tolerance)])
+        columns = ["name", "pass", "exact", "abs_err", "tolerance"]
+        writer.writerow(columns)
+        writer.writerows([c[k] for k in columns] for c in report["checks"])
         text = buf.getvalue().rstrip("\n")
     else:
         lines = []
-        for c in report.checks:
-            status = "PASS" if c.passed else "FAIL"
-            tol = "exact" if c.exact else f"tol={c.tolerance!r}"
-            lines.append(f"{status}  {c.name}  abs_err={c.abs_err!r}  {tol}")
-        lines.append(
-            f"{report.counts['pass']}/{report.counts['pass'] + report.counts['fail']} checks passed"
-        )
+        for c in report["checks"]:
+            status = "PASS" if c["pass"] else "FAIL"
+            tol = "exact" if c["exact"] else f"tol={c['tolerance']!r}"
+            lines.append(f"{status}  {c['name']}  abs_err={c['abs_err']!r}  {tol}")
+        lines.append(f"{counts['pass']}/{counts['pass'] + counts['fail']} checks passed")
         text = "\n".join(lines)
     _emit(text, args.out_path)
-    return 0 if report.counts["fail"] == 0 else 1
+    return 0 if counts["fail"] == 0 else 1
 
 
 def _cmd_table(args: argparse.Namespace) -> int:

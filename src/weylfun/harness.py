@@ -3,8 +3,8 @@
 Every invariant of the algebra, weyl, polyfam, bessel, and disentangle
 modules is registered here under a stable name.  Each check runs at fixed
 values (grid, orders, tolerance), recorded in its params.  Checks are pure
-and deterministic for a fixed configuration; randomized checks draw from a
-generator seeded by the config snapshot.
+and deterministic for a fixed seed; randomized checks draw from a generator
+seeded by it.  A check record and the report are plain JSON data.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import fnmatch
 import json
 import math
 import random
-from dataclasses import asdict, dataclass, replace
 from datetime import datetime, timezone
 from fractions import Fraction
 
@@ -22,53 +21,31 @@ from . import bessel, disentangle, polyfam, weyl
 from .algebra import GaussRational, UniPoly, binom_shifted
 from .errors import NotCentralError, UnknownCheckError
 
-
-@dataclass(frozen=True)
-class SuiteConfig:
-    filter: str = "*"
-    seed: int = 20260801
+SEED = 20260801
 
 
-@dataclass(frozen=True)
-class IdentityCheck:
-    name: str
-    params: dict
-    lhs: complex
-    rhs: complex
-    abs_err: float
-    tolerance: float
-    exact: bool
-    passed: bool
+def _complex_obj(z: complex) -> dict:
+    return {"re": z.real, "im": z.imag}
 
 
-@dataclass(frozen=True)
-class Report:
-    suite_name: str
-    timestamp: str
-    checks: tuple
-    counts: dict
-    config: dict
+def _record(params, lhs, rhs, abs_err, tolerance, exact) -> dict:
+    """One check record, less the "name" that the registry adds."""
+    return {
+        "params": {k: str(v) for k, v in params.items()},
+        "lhs": _complex_obj(complex(lhs)),
+        "rhs": _complex_obj(complex(rhs)),
+        "abs_err": abs_err,
+        "tolerance": tolerance,
+        "exact": exact,
+        "pass": abs_err <= tolerance,
+    }
 
 
-def _params_map(params: dict) -> dict:
-    return {k: str(v) for k, v in params.items()}
+def _exact_result(params, mismatches, lhs=0j, rhs=0j) -> dict:
+    return _record(params, lhs, rhs, float(mismatches), 0.0, True)
 
 
-def _exact_result(params, mismatches, lhs=0j, rhs=0j) -> IdentityCheck:
-    abs_err = float(mismatches)
-    return IdentityCheck(
-        name="",  # set by the registry
-        params=_params_map(params),
-        lhs=complex(lhs),
-        rhs=complex(rhs),
-        abs_err=abs_err,
-        tolerance=0.0,
-        exact=True,
-        passed=abs_err == 0.0,
-    )
-
-
-def _numeric_result(params, pairs, tol, scale=None) -> IdentityCheck:
+def _numeric_result(params, pairs, tol, scale=None) -> dict:
     """Aggregate (lhs, rhs) pairs into a worst-case check record.
 
     With scale, the error of each pair is divided by scale(lhs, rhs)
@@ -85,17 +62,7 @@ def _numeric_result(params, pairs, tol, scale=None) -> IdentityCheck:
             err = math.inf
         if err > worst:
             worst, wl, wr = err, complex(lhs), complex(rhs)
-    worst = max(worst, 0.0)
-    return IdentityCheck(
-        name="",  # set by the registry
-        params=_params_map(params),
-        lhs=wl,
-        rhs=wr,
-        abs_err=worst,
-        tolerance=tol,
-        exact=False,
-        passed=worst <= tol,
-    )
+    return _record(params, wl, wr, max(worst, 0.0), tol, False)
 
 
 # ------------------------------------------------------- seeded generators
@@ -125,18 +92,18 @@ REGISTRY: dict = {}
 
 
 def _register(fn):
-    """Register fn(cfg) under its name less "check_"; its record takes that name."""
+    """Register fn(seed) under its name less "check_"; its record takes that name."""
     name = fn.__name__.removeprefix("check_")
-    REGISTRY[name] = lambda cfg: replace(fn(cfg), name=name)
+    REGISTRY[name] = lambda seed: {"name": name, **fn(seed)}
     return REGISTRY[name]
 
 
 # ---------------------------------------------------------------- algebra
 
 @_register
-def check_algebra_ring_axioms(cfg):
+def check_algebra_ring_axioms(seed: int):
     trials = 25
-    rng = random.Random(cfg.seed)
+    rng = random.Random(seed)
     bad = 0
     for _ in range(trials):
         a, b, c = (_rand_poly(rng) for _ in range(3))
@@ -152,9 +119,9 @@ def check_algebra_ring_axioms(cfg):
 
 
 @_register
-def check_algebra_leibniz_rule(cfg):
+def check_algebra_leibniz_rule(seed: int):
     trials, max_degree = 25, 8
-    rng = random.Random(cfg.seed + 1)
+    rng = random.Random(seed + 1)
     bad = 0
     for _ in range(trials):
         a = _rand_poly(rng, max_degree)
@@ -165,9 +132,9 @@ def check_algebra_leibniz_rule(cfg):
 
 
 @_register
-def check_algebra_eval_multiplicative(cfg):
+def check_algebra_eval_multiplicative(seed: int):
     trials = 25
-    rng = random.Random(cfg.seed + 2)
+    rng = random.Random(seed + 2)
     bad = 0
     for _ in range(trials):
         a, b = _rand_poly(rng), _rand_poly(rng)
@@ -178,7 +145,7 @@ def check_algebra_eval_multiplicative(cfg):
 
 
 @_register
-def check_algebra_binom_integer_match(cfg):
+def check_algebra_binom_integer_match(seed: int):
     n_max = 12
     bad = 0
     for alpha in range(5):
@@ -200,7 +167,7 @@ def _p2():
 
 
 @_register
-def check_weyl_commutator_table(cfg):
+def check_weyl_commutator_table(seed: int):
     x, p = weyl.WeylOp.x(), weyl.WeylOp.p()
     i = GaussRational(0, 1)
     table = [
@@ -215,9 +182,9 @@ def check_weyl_commutator_table(cfg):
 
 
 @_register
-def check_weyl_commutator_antisymmetry(cfg):
+def check_weyl_commutator_antisymmetry(seed: int):
     trials = 25
-    rng = random.Random(cfg.seed + 3)
+    rng = random.Random(seed + 3)
     bad = 0
     for _ in range(trials):
         a, b = _rand_weylop(rng, 3), _rand_weylop(rng, 3)
@@ -227,9 +194,9 @@ def check_weyl_commutator_antisymmetry(cfg):
 
 
 @_register
-def check_weyl_jacobi_identity(cfg):
+def check_weyl_jacobi_identity(seed: int):
     trials = 15
-    rng = random.Random(cfg.seed + 4)
+    rng = random.Random(seed + 4)
     bad = 0
     for _ in range(trials):
         a, b, c = (_rand_weylop(rng) for _ in range(3))
@@ -244,9 +211,9 @@ def check_weyl_jacobi_identity(cfg):
 
 
 @_register
-def check_weyl_action_homomorphism(cfg):
+def check_weyl_action_homomorphism(seed: int):
     trials = 15
-    rng = random.Random(cfg.seed + 5)
+    rng = random.Random(seed + 5)
     bad = 0
     for _ in range(trials):
         a, b = _rand_weylop(rng), _rand_weylop(rng)
@@ -259,9 +226,9 @@ def check_weyl_action_homomorphism(cfg):
 
 
 @_register
-def check_weyl_normal_order_confluence(cfg):
+def check_weyl_normal_order_confluence(seed: int):
     trials = 15
-    rng = random.Random(cfg.seed + 6)
+    rng = random.Random(seed + 6)
     bad = 0
     for _ in range(trials):
         factors = [_rand_weylop(rng) for _ in range(4)]
@@ -302,7 +269,7 @@ def _hadamard_cases(f_values=(1, Fraction(1, 3))):
 
 
 @_register
-def check_weyl_hadamard_cases(cfg):
+def check_weyl_hadamard_cases(seed: int):
     bad = 0
     for a, b, xi, want in _hadamard_cases():
         got = weyl.hadamard_conjugate(a, b, xi)
@@ -319,7 +286,7 @@ def check_weyl_hadamard_cases(cfg):
 
 
 @_register
-def check_weyl_hadamard_taylor_check(cfg):
+def check_weyl_hadamard_taylor_check(seed: int):
     order, xi, tol = 20, Fraction(1, 10), 1e-10
     probes = [UniPoly.one(), UniPoly.x(), UniPoly.monomial(2)]
     points = (0.0, 0.5, 1.0)
@@ -337,7 +304,7 @@ def check_weyl_hadamard_taylor_check(cfg):
 
 
 @_register
-def check_weyl_bch_central_prefactor(cfg):
+def check_weyl_bch_central_prefactor(seed: int):
     x, p = weyl.WeylOp.x(), weyl.WeylOp.p()
     bad = 0
     c = weyl.central_bch_prefactor(x * 2, p * GaussRational(0, -1))
@@ -356,7 +323,7 @@ def check_weyl_bch_central_prefactor(cfg):
 # ---------------------------------------------------------------- hermite
 
 @_register
-def check_hermite_triple_equality(cfg):
+def check_hermite_triple_equality(seed: int):
     n_max = 25
     hs = polyfam.hermite_recurrence(n_max)
     bad = 0
@@ -369,7 +336,7 @@ def check_hermite_triple_equality(cfg):
 
 
 @_register
-def check_hermite_derivative_relation(cfg):
+def check_hermite_derivative_relation(seed: int):
     n_max = 25
     hs = polyfam.hermite_recurrence(n_max)
     bad = 0
@@ -380,16 +347,16 @@ def check_hermite_derivative_relation(cfg):
 
 
 @_register
-def check_hermite_ode_residual(cfg):
+def check_hermite_ode_residual(seed: int):
     n_max = 25
     bad = sum(1 for n in range(n_max + 1) if not polyfam.hermite_ode_residual(n).is_zero())
     return _exact_result({"n_max": n_max}, bad)
 
 
 @_register
-def check_hermite_addition_formula(cfg):
+def check_hermite_addition_formula(seed: int):
     n_max, trials = 12, 25
-    rng = random.Random(cfg.seed + 7)
+    rng = random.Random(seed + 7)
     bad = 0
     for _ in range(trials):
         x0 = Fraction(rng.randint(-4, 4), rng.randint(1, 4))
@@ -402,7 +369,7 @@ def check_hermite_addition_formula(cfg):
 
 
 @_register
-def check_hermite_generating_function(cfg):
+def check_hermite_generating_function(seed: int):
     a, n_terms, tol = 0.5, 40, 1e-12
     pairs = []
     for i in range(9):
@@ -414,7 +381,7 @@ def check_hermite_generating_function(cfg):
 
 
 @_register
-def check_even_hermite_sum(cfg):
+def check_even_hermite_sum(seed: int):
     ts, xs, N, tol = [0.05, 0.1, 0.2], [-2.0, -1.0, 0.0, 1.0, 2.0], 80, 1e-9
     pairs = []
     for tv in ts:
@@ -428,7 +395,7 @@ def check_even_hermite_sum(cfg):
 
 
 @_register
-def check_psi_ladder_relations(cfg):
+def check_psi_ladder_relations(seed: int):
     n_max, tol = 10, 1e-10
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
     pairs = []
@@ -445,12 +412,13 @@ def check_psi_ladder_relations(cfg):
 
 
 @_register
-def check_psi_expansion_orthonormality(cfg):
-    n_max, half_width, nodes, tol = 8, 10.0, 400, 1e-8
-    coeffs = polyfam.hermite_expand(lambda x: polyfam.psi_eval(3, x), n_max, half_width, nodes)
+def check_psi_expansion_orthonormality(seed: int):
+    n_max, tol = 8, 1e-8
+    coeffs = polyfam.hermite_expand(lambda x: polyfam.psi_eval(3, x), n_max)
     pairs = [(c, 1.0 if n == 3 else 0.0) for n, c in enumerate(coeffs)]
     return _numeric_result(
-        {"n_max": n_max, "half_width": half_width, "nodes": nodes}, pairs, tol
+        {"n_max": n_max, "half_width": polyfam.EXPAND_HALF_WIDTH, "nodes": polyfam.EXPAND_NODES},
+        pairs, tol,
     )
 
 
@@ -460,7 +428,7 @@ _LAGUERRE_ORDERS = (0, 1, 5, Fraction(1, 2), Fraction(3, 2))
 
 
 @_register
-def check_laguerre_triple_equality(cfg):
+def check_laguerre_triple_equality(seed: int):
     n_max = 20
     bad = 0
     for alpha in _LAGUERRE_ORDERS:
@@ -477,7 +445,7 @@ def check_laguerre_triple_equality(cfg):
 
 
 @_register
-def check_laguerre_recurrence_residual(cfg):
+def check_laguerre_recurrence_residual(seed: int):
     n_max = 12
     bad = 0
     for alpha in _LAGUERRE_ORDERS:
@@ -492,7 +460,7 @@ def check_laguerre_recurrence_residual(cfg):
 
 
 @_register
-def check_laguerre_generating_function(cfg):
+def check_laguerre_generating_function(seed: int):
     t, n_terms, tol = 0.3, 60, 1e-10
     pairs = []
     for alpha in (0, 2):
@@ -509,7 +477,7 @@ _BESSEL_XS = (0.5, 1.0, 5.0, 10.0)
 
 
 @_register
-def check_bessel_cross_method(cfg):
+def check_bessel_cross_method(seed: int):
     n_max, tol = 10, 1e-12
     pairs = []
     for x in _BESSEL_XS:
@@ -526,7 +494,7 @@ def check_bessel_cross_method(cfg):
 
 
 @_register
-def check_bessel_generating_function(cfg):
+def check_bessel_generating_function(seed: int):
     x, n_cut, tol = 1.0, 40, 1e-12
     pairs = []
     for t in (0.7, 1.3, -0.5):
@@ -537,37 +505,37 @@ def check_bessel_generating_function(cfg):
 
 
 @_register
-def check_bessel_recurrence_residual(cfg):
+def check_bessel_recurrence_residual(seed: int):
     n_max, tol = 8, 1e-12
     pairs = []
     for x in (1.0, 5.0):
         for n in range(1, n_max + 1):
-            lhs = (2.0 * n / x) * bessel.j_series(n, x)
-            rhs = bessel.j_series(n - 1, x) + bessel.j_series(n + 1, x)
+            lhs = (2.0 * n / x) * bessel.j_signed(n, x)
+            rhs = bessel.j_signed(n - 1, x) + bessel.j_signed(n + 1, x)
             pairs.append((lhs, rhs))
     return _numeric_result({"n_max": n_max}, pairs, tol)
 
 
 @_register
-def check_bessel_bounded_and_parity(cfg):
+def check_bessel_bounded_and_parity(seed: int):
     n_max, tol = 10, 1e-12
     pairs = []
     for x in _BESSEL_XS:
         for n in range(n_max + 1):
-            v = bessel.j_series(n, x)
+            v = bessel.j_signed(n, x)
             pairs.append((max(abs(v) - 1.0, 0.0), 0.0))  # |J_n| <= 1
-            pairs.append((bessel.j_series(n, -x), (-1.0) ** n * v))
+            pairs.append((bessel.j_signed(n, -x), (-1.0) ** n * v))
     return _numeric_result({"n_max": n_max}, pairs, tol)
 
 
 @_register
-def check_bessel_derivative_vs_finite_difference(cfg):
+def check_bessel_derivative_vs_finite_difference(seed: int):
     h1 = 1e-6
-    fd1 = (bessel.j_series(0, 1.0 + h1) - bessel.j_series(0, 1.0 - h1)) / (2 * h1)
+    fd1 = (bessel.j_signed(0, 1.0 + h1) - bessel.j_signed(0, 1.0 - h1)) / (2 * h1)
     d1 = bessel.j_derivative_m(0, 1, 1.0)
     h2 = 1e-4
     fd2 = (
-        bessel.j_series(3, 2.0 + h2) - 2 * bessel.j_series(3, 2.0) + bessel.j_series(3, 2.0 - h2)
+        bessel.j_signed(3, 2.0 + h2) - 2 * bessel.j_signed(3, 2.0) + bessel.j_signed(3, 2.0 - h2)
     ) / (h2 * h2)
     d2 = bessel.j_derivative_m(3, 2, 2.0)
     # the second difference is good to ~1e-6, not 1e-8: compare it at 1/100 scale
@@ -576,16 +544,16 @@ def check_bessel_derivative_vs_finite_difference(cfg):
 
 
 @_register
-def check_bessel_addition(cfg):
+def check_bessel_addition(seed: int):
     cases, K, tol = [(0, 1.1, 0.7), (1, 2.0, 0.5), (3, 2.0, 2.0)], 40, 1e-12
     pairs = []
     for n, x, y in cases:
-        pairs.append((bessel.j_addition(n, x, y, K), bessel.j_series(n, x + y)))
+        pairs.append((bessel.j_addition(n, x, y, K), bessel.j_signed(n, x + y)))
     return _numeric_result({"cases": cases, "K": K}, pairs, tol)
 
 
 @_register
-def check_bessel_jacobi_anger(cfg):
+def check_bessel_jacobi_anger(seed: int):
     x, n_cut, tol = 2.0, 40, 1e-12
     pairs = []
     for y in (0.0, math.pi / 3.0, 1.2):
@@ -596,18 +564,18 @@ def check_bessel_jacobi_anger(cfg):
 
 
 @_register
-def check_bessel_translation(cfg):
+def check_bessel_translation(seed: int):
     m_cut, tol = 30, 1e-10
     pairs = []
     for n, x, y in ((0, 1.0, 0.5), (2, 2.0, -0.3)):
         lhs = bessel.j_translate_partial(n, x, y, m_cut)
-        rhs = bessel.j_series(n, x + y)
+        rhs = bessel.j_signed(n, x + y)
         pairs.append((lhs, rhs))
     return _numeric_result({"m_cut": m_cut}, pairs, tol)
 
 
 @_register
-def check_bessel_ode_residual(cfg):
+def check_bessel_ode_residual(seed: int):
     n_max, tol = 5, 1e-10
     pairs = []
     for x in (0.5, 1.0, 2.0, 5.0):
@@ -620,7 +588,7 @@ def check_bessel_ode_residual(cfg):
 # ------------------------------------------------------------ disentangle
 
 @_register
-def check_disentangle_closed_form_residual(cfg):
+def check_disentangle_closed_form_residual(seed: int):
     samples, tol = 100, 1e-12
     pairs = []
     for k in range(samples):
@@ -634,7 +602,7 @@ def check_disentangle_closed_form_residual(cfg):
 
 
 @_register
-def check_disentangle_rk4_vs_closed(cfg):
+def check_disentangle_rk4_vs_closed(seed: int):
     t_end, steps, tol = 0.2, 10_000, 1e-10
     pairs = []
     traj = disentangle.disentangle_ode_trajectory(disentangle.EVEN_HERMITE_EXPONENT, t_end, steps)
@@ -644,7 +612,7 @@ def check_disentangle_rk4_vs_closed(cfg):
 
 
 @_register
-def check_disentangle_system_specialization(cfg):
+def check_disentangle_system_specialization(seed: int):
     got = disentangle.system_coefficients(disentangle.EVEN_HERMITE_EXPONENT)
     want = ((4 + 0j, -8 + 0j, 4 + 0j), (-2j, 2j), -1 + 0j)
     bad = 0 if got == want else 1
@@ -652,7 +620,7 @@ def check_disentangle_system_specialization(cfg):
 
 
 @_register
-def check_disentangle_operator_equivalence(cfg):
+def check_disentangle_operator_equivalence(seed: int):
     order, tol = 30, 1e-8
     probes = [UniPoly.one(), UniPoly.x(), UniPoly.monomial(2)]
     pairs = []
@@ -667,7 +635,7 @@ def check_disentangle_operator_equivalence(cfg):
 
 
 @_register
-def check_disentangle_initial_condition(cfg):
+def check_disentangle_initial_condition(seed: int):
     cases = [
         disentangle.EVEN_HERMITE_EXPONENT,
         disentangle.QuadExponent(0, 0, 1),
@@ -686,89 +654,26 @@ def check_disentangle_initial_condition(cfg):
 
 # ------------------------------------------------------------- the runner
 
-def check_names() -> tuple:
-    return tuple(REGISTRY)
-
-
-def run_check(name: str, config: SuiteConfig | None = None) -> IdentityCheck:
+def run_check(name: str, seed: int = SEED) -> dict:
     """Run one registered check at its fixed values."""
     if name not in REGISTRY:
         raise UnknownCheckError(f"unknown check {name!r}; known: {', '.join(REGISTRY)}")
-    return REGISTRY[name](config or SuiteConfig())
+    return REGISTRY[name](seed)
 
 
-def run_suite(config: SuiteConfig | None = None) -> Report:
-    """Run every registered check matching the config filter."""
-    cfg = config or SuiteConfig()
-    checks = []
-    for name, fn in REGISTRY.items():
-        if not fnmatch.fnmatchcase(name, cfg.filter):
-            continue
-        checks.append(fn(cfg))
-    counts = {
-        "pass": sum(1 for c in checks if c.passed),
-        "fail": sum(1 for c in checks if not c.passed),
-    }
-    return Report(
-        suite_name="weylfun-identities",
-        timestamp=datetime.now(timezone.utc).isoformat(timespec="seconds"),
-        checks=tuple(checks),
-        counts=counts,
-        config=asdict(cfg),
-    )
-
-
-def _complex_obj(z: complex) -> dict:
-    return {"re": z.real, "im": z.imag}
-
-
-def _check_obj(c: IdentityCheck) -> dict:
+def run_suite(filter: str = "*", seed: int = SEED) -> dict:
+    """The report of every registered check whose name matches the fnmatch filter."""
+    checks = [fn(seed) for name, fn in REGISTRY.items() if fnmatch.fnmatchcase(name, filter)]
+    passed = sum(1 for c in checks if c["pass"])
     return {
-        "name": c.name,
-        "params": c.params,
-        "lhs": _complex_obj(c.lhs),
-        "rhs": _complex_obj(c.rhs),
-        "abs_err": c.abs_err,
-        "tolerance": c.tolerance,
-        "exact": c.exact,
-        "pass": c.passed,
+        "suite_name": "weylfun-identities",
+        "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
+        "counts": {"pass": passed, "fail": len(checks) - passed},
+        "config": {"filter": filter, "seed": seed},
+        "checks": checks,
     }
 
 
-def report_to_obj(report: Report) -> dict:
-    return {
-        "suite_name": report.suite_name,
-        "timestamp": report.timestamp,
-        "counts": dict(report.counts),
-        "config": report.config,
-        "checks": [_check_obj(c) for c in report.checks],
-    }
-
-
-def report_serialize(report: Report) -> str:
+def report_serialize(report: dict) -> str:
     """Stable JSON text: sorted keys, shortest round-trip float form."""
-    return json.dumps(report_to_obj(report), sort_keys=True, indent=2) + "\n"
-
-
-def report_parse(text: str) -> Report:
-    obj = json.loads(text)
-    checks = tuple(
-        IdentityCheck(
-            name=c["name"],
-            params=dict(c["params"]),
-            lhs=complex(c["lhs"]["re"], c["lhs"]["im"]),
-            rhs=complex(c["rhs"]["re"], c["rhs"]["im"]),
-            abs_err=c["abs_err"],
-            tolerance=c["tolerance"],
-            exact=c["exact"],
-            passed=c["pass"],
-        )
-        for c in obj["checks"]
-    )
-    return Report(
-        suite_name=obj["suite_name"],
-        timestamp=obj["timestamp"],
-        checks=checks,
-        counts=dict(obj["counts"]),
-        config=dict(obj["config"]),
-    )
+    return json.dumps(report, sort_keys=True, indent=2) + "\n"

@@ -246,9 +246,12 @@ def psi_derivative(n: int, x0: complex) -> complex:
     return math.sqrt(2 * n) * prev - x * cur
 
 
-def hermite_expand(
-    f: Callable[[float], complex], n_max: int, half_width: float = 10.0, nodes: int = 400
-) -> Sequence[complex]:
+# hermite_expand's interval [-L, L] and trapezoid node count
+EXPAND_HALF_WIDTH = 10.0
+EXPAND_NODES = 400
+
+
+def hermite_expand(f: Callable[[float], complex], n_max: int) -> Sequence[complex]:
     """Coefficients c_n = integral f(x) psi_n(x) dx on [-L, L] by the trapezoid rule.
 
     The integrands decay like a Gaussian, so truncation at L = 10 and an
@@ -256,14 +259,11 @@ def hermite_expand(
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    if half_width <= 0:
-        raise ValueError("half_width must be positive")
-    if nodes < 2:
-        raise ValueError("at least 2 quadrature nodes are required")
-    h = 2.0 * half_width / (nodes - 1)
+    L, nodes = EXPAND_HALF_WIDTH, EXPAND_NODES
+    h = 2.0 * L / (nodes - 1)
     coeffs = [0j] * (n_max + 1)
     for i in range(nodes):
-        x = -half_width + i * h
+        x = -L + i * h
         w = h * (0.5 if i in (0, nodes - 1) else 1.0)
         fx = complex(f(x))
         if fx == 0:
@@ -275,11 +275,19 @@ def hermite_expand(
 
 # --------------------------------------------------------------- Laguerre
 
+def _order(order_alpha) -> Fraction:
+    """Fraction(order_alpha), or DomainError naming it when it is inf or nan."""
+    try:
+        return Fraction(order_alpha)
+    except (OverflowError, ValueError) as exc:
+        raise DomainError(f"order_alpha must be a finite rational, got {order_alpha!r}") from exc
+
+
 def laguerre_recurrence(n_max: int, order_alpha) -> PolyFamily:
     """(n+1) L_{n+1} = (2n+a+1-x) L_n - (n+a) L_{n-1}, seeds 1 and 1+a-x."""
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    a = Fraction(order_alpha)
+    a = _order(order_alpha)
     p, q = a.numerator, a.denominator  # per-degree scalars (c + a) as (c q + p) / q
     polys = [UniPoly.one()]
     if n_max >= 1:
@@ -295,7 +303,7 @@ def laguerre_operator(n: int, order_alpha) -> UniPoly:
     """Operator route: (1/n!) x^(-a) (d/dx - 1)^n x^(n+a) with an exact offset."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    a = Fraction(order_alpha)
+    a = _order(order_alpha)
     s = ShiftedPoly(a, {n: 1})
     for _ in range(n):
         s = shifted_derivative(s) - s
@@ -306,7 +314,7 @@ def laguerre_explicit(n: int, order_alpha) -> UniPoly:
     """Explicit sum sum_k C(n+a, n-k) (-1)^k x^k / k!."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    a = Fraction(order_alpha)
+    a = _order(order_alpha)
     p, q = a.numerator, a.denominator
     # Downward from k = n: c_{k-1} = -c_k k (a + k) / (n - k + 1), in exact scalars.
     c = GaussRational(Fraction((-1) ** n, math.factorial(n)))
@@ -324,7 +332,7 @@ def laguerre_genfun_partial(t: complex, x0: complex, order_alpha, n_terms: int) 
     tt = _finite(t, "t")
     if abs(tt) >= 1:
         raise DomainError(f"generating function requires |t| < 1, got |t| = {abs(tt)}")
-    a = float(Fraction(order_alpha))
+    a = float(_order(order_alpha))
     x = _finite(x0)
     acc = 0j
     tp = 1.0 + 0j

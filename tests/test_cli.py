@@ -99,6 +99,16 @@ def test_verify_json_body_is_pinned(capsys):
     )
 
 
+@pytest.mark.parametrize("argv, digest", [
+    ("verify --output csv", "92d0709bd07899c96a1388348b076051c52333fff796a745ec7edbaa11ccd337"),
+    ("verify", "baa0301f5126ac2e586f8ea4680ddbdb6b3768879cecde4f82f19adc851d5929"),
+])
+def test_verify_csv_and_text_are_pinned(capsys, argv, digest):
+    """The CSV and text verdicts carry no timestamp, so every byte stays as it was."""
+    assert main(argv.split()) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
 def _canonical_strings():
     """Canonical strings of every exact route, seeded WeylOp arithmetic and the Taylor oracle."""
     for n in range(26):

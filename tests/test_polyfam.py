@@ -66,7 +66,7 @@ def product_calls(monkeypatch):
 
 def test_triple_check_grows_the_ladder_one_product_per_degree(product_calls):
     result = run_check("hermite_triple_equality")
-    assert result.passed
+    assert result["pass"]
     assert len(product_calls) <= 26  # rebuilding ladder**n for every n costs 325
 
 
@@ -310,6 +310,22 @@ def test_hermite_expand_zero_function():
 
 
 # ----------------------------------------------------------------- laguerre
+
+# each Laguerre route with its order argument left open
+LAGUERRE_ROUTES = {
+    "laguerre_recurrence": lambda a: polyfam.laguerre_recurrence(3, a),
+    "laguerre_operator": lambda a: polyfam.laguerre_operator(3, a),
+    "laguerre_explicit": lambda a: polyfam.laguerre_explicit(3, a),
+    "laguerre_genfun_partial": lambda a: polyfam.laguerre_genfun_partial(0.3, 1.0, a, 10),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LAGUERRE_ROUTES))
+@pytest.mark.parametrize("alpha", [math.inf, -math.inf, math.nan])
+def test_laguerre_routes_reject_a_non_finite_order(name, alpha):
+    with pytest.raises(DomainError, match="order_alpha must be a finite rational"):
+        LAGUERRE_ROUTES[name](alpha)
+
 
 def test_laguerre_seeds_and_recurrence():
     ls = polyfam.laguerre_recurrence(2, 0)
