@@ -376,7 +376,7 @@ class UniPoly:
         return f"UniPoly<{format_poly(self)}>"
 
 
-def format_poly(q: UniPoly, var: str = "x") -> str:
+def format_poly(q: UniPoly) -> str:
     """Canonical text form: descending powers, exact rational coefficients."""
     if q.is_zero():
         return "0"
@@ -384,10 +384,10 @@ def format_poly(q: UniPoly, var: str = "x") -> str:
     for k, (re, im) in sorted(q._nums.items(), reverse=True):
         if not im:
             neg = re < 0
-            body = _term_text(_ratio_text(abs(re), den), abs(re) == den, k, var)
+            body = _term_text(_ratio_text(abs(re), den), abs(re) == den, k)
         else:
             neg = False
-            body = _term_text(f"({_gauss_text(re, im, den)})", False, k, var)
+            body = _term_text(f"({_gauss_text(re, im, den)})", False, k)
         if not parts:
             parts.append(("-" if neg else "") + body)
         else:
@@ -395,10 +395,10 @@ def format_poly(q: UniPoly, var: str = "x") -> str:
     return " ".join(parts)
 
 
-def _term_text(coeff_txt: str, coeff_is_one: bool, k: int, var: str) -> str:
+def _term_text(coeff_txt: str, coeff_is_one: bool, k: int) -> str:
     if k == 0:
         return coeff_txt
-    xpart = var if k == 1 else f"{var}^{k}"
+    xpart = "x" if k == 1 else f"x^{k}"
     if coeff_is_one:
         return xpart
     return f"{coeff_txt}*{xpart}"

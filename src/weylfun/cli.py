@@ -182,7 +182,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     if args.target == "hermite":
         payload = _poly_payload(args.n, polyfam.hermite_recurrence(args.n)[args.n])
     elif args.target == "laguerre":
-        payload = _poly_payload(args.n, polyfam.laguerre_recurrence(args.n, args.alpha)[args.n])
+        payload = _poly_payload(args.n, polyfam.laguerre_explicit(args.n, args.alpha))
         payload["alpha"] = str(args.alpha)
     elif args.target == "bessel":
         payload = {"n": args.n, "x": args.x, "value": bessel.j_signed(args.n, args.x)}

@@ -41,7 +41,9 @@ def _record(params, lhs, rhs, abs_err, tolerance, exact) -> dict:
     }
 
 
-def _exact_result(params, mismatches, lhs=0j, rhs=0j) -> dict:
+def _exact_result(params, pairs, lhs=0j, rhs=0j) -> dict:
+    """A record whose abs_err counts the unequal (lhs, rhs) pairs, by their own ==."""
+    mismatches = sum(1 for a, b in pairs if a != b)
     return _record(params, lhs, rhs, float(mismatches), 0.0, True)
 
 
@@ -104,56 +106,50 @@ def _register(fn):
 def check_algebra_ring_axioms(seed: int):
     trials = 25
     rng = random.Random(seed)
-    bad = 0
-    for _ in range(trials):
-        a, b, c = (_rand_poly(rng) for _ in range(3))
-        if (a + b) + c != a + (b + c):
-            bad += 1
-        if (a * b) * c != a * (b * c):
-            bad += 1
-        if a * b != b * a:
-            bad += 1
-        if a * (b + c) != a * b + a * c:
-            bad += 1
-    return _exact_result({"trials": trials}, bad)
+
+    def pairs():  # streamed: a list would hold 200 products at once
+        for _ in range(trials):
+            a, b, c = (_rand_poly(rng) for _ in range(3))
+            yield (a + b) + c, a + (b + c)
+            yield (a * b) * c, a * (b * c)
+            yield a * b, b * a
+            yield a * (b + c), a * b + a * c
+
+    return _exact_result({"trials": trials}, pairs())
 
 
 @_register
 def check_algebra_leibniz_rule(seed: int):
     trials, max_degree = 25, 8
     rng = random.Random(seed + 1)
-    bad = 0
+    pairs = []
     for _ in range(trials):
         a = _rand_poly(rng, max_degree)
         b = _rand_poly(rng, max_degree)
-        if (a * b).derivative() != a.derivative() * b + a * b.derivative():
-            bad += 1
-    return _exact_result({"trials": trials, "max_degree": max_degree}, bad)
+        pairs.append(((a * b).derivative(), a.derivative() * b + a * b.derivative()))
+    return _exact_result({"trials": trials, "max_degree": max_degree}, pairs)
 
 
 @_register
 def check_algebra_eval_multiplicative(seed: int):
     trials = 25
     rng = random.Random(seed + 2)
-    bad = 0
+    pairs = []
     for _ in range(trials):
         a, b = _rand_poly(rng), _rand_poly(rng)
         x0 = GaussRational(_rand_fraction(rng), _rand_fraction(rng))
-        if (a * b).evaluate(x0) != a.evaluate(x0) * b.evaluate(x0):
-            bad += 1
-    return _exact_result({"trials": trials}, bad)
+        pairs.append(((a * b).evaluate(x0), a.evaluate(x0) * b.evaluate(x0)))
+    return _exact_result({"trials": trials}, pairs)
 
 
 @_register
 def check_algebra_binom_integer_match(seed: int):
     n_max = 12
-    bad = 0
-    for alpha in range(5):
-        for n in range(n_max + 1):
-            for k in range(n + 1):
-                if binom_shifted(alpha, n, k) != math.comb(n + alpha, n - k):
-                    bad += 1
-    return _exact_result({"n_max": n_max}, bad)
+    pairs = (
+        (binom_shifted(alpha, n, k), math.comb(n + alpha, n - k))
+        for alpha in range(5) for n in range(n_max + 1) for k in range(n + 1)
+    )
+    return _exact_result({"n_max": n_max}, pairs)
 
 
 # ------------------------------------------------------------------- weyl
@@ -177,27 +173,25 @@ def check_weyl_commutator_table(seed: int):
         (weyl.commutator(weyl.xp_plus_px, _p2()), weyl.WeylOp({(0, 2): 4 * i})),
         (weyl.commutator(_x2(), _p2()), weyl.WeylOp({(0, 0): 2, (1, 1): 4 * i})),
     ]
-    bad = sum(1 for got, want in table if got != want)
-    return _exact_result({}, bad)
+    return _exact_result({}, table)
 
 
 @_register
 def check_weyl_commutator_antisymmetry(seed: int):
     trials = 25
     rng = random.Random(seed + 3)
-    bad = 0
+    pairs = []
     for _ in range(trials):
         a, b = _rand_weylop(rng, 3), _rand_weylop(rng, 3)
-        if weyl.commutator(a, b) != -weyl.commutator(b, a):
-            bad += 1
-    return _exact_result({"trials": trials}, bad)
+        pairs.append((weyl.commutator(a, b), -weyl.commutator(b, a)))
+    return _exact_result({"trials": trials}, pairs)
 
 
 @_register
 def check_weyl_jacobi_identity(seed: int):
     trials = 15
     rng = random.Random(seed + 4)
-    bad = 0
+    pairs = []
     for _ in range(trials):
         a, b, c = (_rand_weylop(rng) for _ in range(3))
         total = (
@@ -205,43 +199,41 @@ def check_weyl_jacobi_identity(seed: int):
             + weyl.commutator(b, weyl.commutator(c, a))
             + weyl.commutator(c, weyl.commutator(a, b))
         )
-        if not total.is_zero():
-            bad += 1
-    return _exact_result({"trials": trials}, bad)
+        pairs.append((total, weyl.WeylOp()))
+    return _exact_result({"trials": trials}, pairs)
 
 
 @_register
 def check_weyl_action_homomorphism(seed: int):
     trials = 15
     rng = random.Random(seed + 5)
-    bad = 0
+    pairs = []
     for _ in range(trials):
         a, b = _rand_weylop(rng), _rand_weylop(rng)
         q = _rand_poly(rng)
         lhs = weyl.apply_to_poly(a * b, q)
-        rhs = weyl.apply_to_poly(a, weyl.apply_to_poly(b, q))
-        if lhs != rhs:
-            bad += 1
-    return _exact_result({"trials": trials}, bad)
+        pairs.append((lhs, weyl.apply_to_poly(a, weyl.apply_to_poly(b, q))))
+    return _exact_result({"trials": trials}, pairs)
 
 
 @_register
 def check_weyl_normal_order_confluence(seed: int):
     trials = 15
     rng = random.Random(seed + 6)
-    bad = 0
-    for _ in range(trials):
-        factors = [_rand_weylop(rng) for _ in range(4)]
-        left = factors[0]
-        for w in factors[1:]:
-            left = left * w
-        right = factors[-1]
-        for w in reversed(factors[:-1]):
-            right = w * right
-        mixed = (factors[0] * factors[1]) * (factors[2] * factors[3])
-        if left != right or left != mixed:
-            bad += 1
-    return _exact_result({"trials": trials}, bad)
+
+    def pairs():  # streamed: a list would hold every four-factor product at once
+        for _ in range(trials):
+            factors = [_rand_weylop(rng) for _ in range(4)]
+            left = factors[0]
+            for w in factors[1:]:
+                left = left * w
+            right = factors[-1]
+            for w in reversed(factors[:-1]):
+                right = w * right
+            yield left, right
+            yield left, (factors[0] * factors[1]) * (factors[2] * factors[3])
+
+    return _exact_result({"trials": trials}, pairs())
 
 
 def _hadamard_cases(f_values=(1, Fraction(1, 3))):
@@ -270,19 +262,13 @@ def _hadamard_cases(f_values=(1, Fraction(1, 3))):
 
 @_register
 def check_weyl_hadamard_cases(seed: int):
-    bad = 0
-    for a, b, xi, want in _hadamard_cases():
-        got = weyl.hadamard_conjugate(a, b, xi)
-        if not isinstance(got, weyl.Terminated) or got.result != want:
-            bad += 1
+    pairs = [
+        (weyl.hadamard_conjugate(a, b, xi), weyl.Terminated(want))
+        for a, b, xi, want in _hadamard_cases()
+    ]
     eig = weyl.hadamard_conjugate(weyl.xp_plus_px, _p2(), GaussRational(1))
-    if not (
-        isinstance(eig, weyl.Eigen)
-        and eig.eigenvalue == GaussRational(0, 4)
-        and eig.op == _p2()
-    ):
-        bad += 1
-    return _exact_result({}, bad)
+    pairs.append((eig, weyl.Eigen(GaussRational(0, 4), _p2())))
+    return _exact_result({}, pairs)
 
 
 @_register
@@ -306,18 +292,15 @@ def check_weyl_hadamard_taylor_check(seed: int):
 @_register
 def check_weyl_bch_central_prefactor(seed: int):
     x, p = weyl.WeylOp.x(), weyl.WeylOp.p()
-    bad = 0
     c = weyl.central_bch_prefactor(x * 2, p * GaussRational(0, -1))
-    if c != GaussRational(2):
-        bad += 1
-    if weyl.central_bch_prefactor(x, x) != GaussRational(0):
-        bad += 1
+    pairs = [(c, GaussRational(2)), (weyl.central_bch_prefactor(x, x), GaussRational(0))]
     try:
         weyl.central_bch_prefactor(_x2(), p)
-        bad += 1
+        raised = False
     except NotCentralError:
-        pass
-    return _exact_result({}, bad, lhs=complex(c), rhs=2)
+        raised = True
+    pairs.append((raised, True))
+    return _exact_result({}, pairs, lhs=complex(c), rhs=2)
 
 
 # ---------------------------------------------------------------- hermite
@@ -326,46 +309,40 @@ def check_weyl_bch_central_prefactor(seed: int):
 def check_hermite_triple_equality(seed: int):
     n_max = 25
     hs = polyfam.hermite_recurrence(n_max)
-    bad = 0
-    for n, power in zip(range(n_max + 1), polyfam._ladder_powers()):
-        if not (
-            hs[n] == polyfam.hermite_rodrigues(n) == polyfam._hermite_from_ladder(n, power)
-        ):
-            bad += 1
-    return _exact_result({"n_max": n_max}, bad)
+
+    def pairs():  # streamed: one n's route results are alive at a time
+        for n, power in zip(range(n_max + 1), polyfam._ladder_powers()):
+            yield hs[n], polyfam.hermite_rodrigues(n)
+            yield hs[n], polyfam._hermite_from_ladder(n, power)
+
+    return _exact_result({"n_max": n_max}, pairs())
 
 
 @_register
 def check_hermite_derivative_relation(seed: int):
     n_max = 25
     hs = polyfam.hermite_recurrence(n_max)
-    bad = 0
-    for n in range(1, n_max + 1):
-        if hs[n].derivative() != hs[n - 1] * (2 * n):
-            bad += 1
-    return _exact_result({"n_max": n_max}, bad)
+    pairs = ((hs[n].derivative(), hs[n - 1] * (2 * n)) for n in range(1, n_max + 1))
+    return _exact_result({"n_max": n_max}, pairs)
 
 
 @_register
 def check_hermite_ode_residual(seed: int):
     n_max = 25
-    bad = sum(1 for n in range(n_max + 1) if not polyfam.hermite_ode_residual(n).is_zero())
-    return _exact_result({"n_max": n_max}, bad)
+    pairs = ((polyfam.hermite_ode_residual(n), UniPoly()) for n in range(n_max + 1))
+    return _exact_result({"n_max": n_max}, pairs)
 
 
 @_register
 def check_hermite_addition_formula(seed: int):
     n_max, trials = 12, 25
     rng = random.Random(seed + 7)
-    bad = 0
+    pairs = []
     for _ in range(trials):
         x0 = Fraction(rng.randint(-4, 4), rng.randint(1, 4))
         y0 = Fraction(rng.randint(-4, 4), rng.randint(1, 4))
-        for n in range(n_max + 1):
-            lhs, rhs = polyfam.hermite_addition_check(n, x0, y0)
-            if lhs != rhs:
-                bad += 1
-    return _exact_result({"n_max": n_max, "trials": trials}, bad)
+        pairs.extend(polyfam.hermite_addition_check(n, x0, y0) for n in range(n_max + 1))
+    return _exact_result({"n_max": n_max, "trials": trials}, pairs)
 
 
 @_register
@@ -430,33 +407,29 @@ _LAGUERRE_ORDERS = (0, 1, 5, Fraction(1, 2), Fraction(3, 2))
 @_register
 def check_laguerre_triple_equality(seed: int):
     n_max = 20
-    bad = 0
-    for alpha in _LAGUERRE_ORDERS:
-        ls = polyfam.laguerre_recurrence(n_max, alpha)
-        for n in range(n_max + 1):
-            same = (
-                ls[n]
-                == polyfam.laguerre_operator(n, alpha)
-                == polyfam.laguerre_explicit(n, alpha)
-            )
-            if not same:
-                bad += 1
-    return _exact_result({"n_max": n_max, "orders": list(map(str, _LAGUERRE_ORDERS))}, bad)
+
+    def pairs():  # streamed: one n's route results are alive at a time
+        for alpha in _LAGUERRE_ORDERS:
+            ls = polyfam.laguerre_recurrence(n_max, alpha)
+            for n in range(n_max + 1):
+                yield ls[n], polyfam.laguerre_operator(n, alpha)
+                yield ls[n], polyfam.laguerre_explicit(n, alpha)
+
+    return _exact_result({"n_max": n_max, "orders": list(map(str, _LAGUERRE_ORDERS))}, pairs())
 
 
 @_register
 def check_laguerre_recurrence_residual(seed: int):
     n_max = 12
-    bad = 0
+    pairs = []
     for alpha in _LAGUERRE_ORDERS:
         polys = [polyfam.laguerre_explicit(n, alpha) for n in range(n_max + 2)]
         a = Fraction(alpha)
         for n in range(1, n_max + 1):
             lin = UniPoly({0: 2 * n + a + 1, 1: -1})
             residual = polys[n + 1] * (n + 1) - lin * polys[n] + polys[n - 1] * (n + a)
-            if not residual.is_zero():
-                bad += 1
-    return _exact_result({"n_max": n_max}, bad)
+            pairs.append((residual, UniPoly()))
+    return _exact_result({"n_max": n_max}, pairs)
 
 
 @_register
@@ -615,8 +588,7 @@ def check_disentangle_rk4_vs_closed(seed: int):
 def check_disentangle_system_specialization(seed: int):
     got = disentangle.system_coefficients(disentangle.EVEN_HERMITE_EXPONENT)
     want = ((4 + 0j, -8 + 0j, 4 + 0j), (-2j, 2j), -1 + 0j)
-    bad = 0 if got == want else 1
-    return _exact_result({}, bad)
+    return _exact_result({}, [(got, want)])
 
 
 @_register
@@ -641,15 +613,9 @@ def check_disentangle_initial_condition(seed: int):
         disentangle.QuadExponent(0, 0, 1),
         disentangle.QuadExponent(1, 1j, 0.5),
     ]
-    bad = 0
-    for q in cases:
-        form = disentangle.disentangle_ode(q, 0.0)
-        if form.f != 0 or form.g != 0 or form.h != 0:
-            bad += 1
-    closed0 = disentangle.disentangle_closed(0.0)
-    if closed0.f != 0 or closed0.g != 0 or closed0.h != 0:
-        bad += 1
-    return _exact_result({}, bad)
+    forms = [disentangle.disentangle_ode(q, 0.0) for q in cases]
+    forms.append(disentangle.disentangle_closed(0.0))
+    return _exact_result({}, [((f.f, f.g, f.h), (0, 0, 0)) for f in forms])
 
 
 # ------------------------------------------------------------- the runner

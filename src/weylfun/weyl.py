@@ -169,25 +169,24 @@ def _scalar_ratio(c: WeylOp, b: WeylOp):
     return lam
 
 
-def hadamard_conjugate(
-    a: WeylOp, b: WeylOp, xi: ScalarLike, max_depth: int = 64
-) -> ConjugationResult:
+_MAX_DEPTH = 64  # nested commutators tried before a conjugation is called non-convergent
+
+
+def hadamard_conjugate(a: WeylOp, b: WeylOp, xi: ScalarLike) -> ConjugationResult:
     """Evaluate e^(xi*a) b e^(-xi*a) through the nested-commutator expansion.
 
     Returns Terminated with the exact finite sum
     b + xi[a,b] + xi^2/2! [a,[a,b]] + ... when some nested commutator
     vanishes, or Eigen when [a,b] is a scalar multiple of b.  Raises
-    NonConvergenceError if neither happens within max_depth.
+    NonConvergenceError if neither happens within _MAX_DEPTH commutators.
     """
-    if max_depth < 1:
-        raise ValueError("max_depth must be >= 1")
     xi = as_gauss(xi)
     if xi is NotImplemented:
         raise TypeError("xi must be an exact scalar")
     total = b
     nested = b
     weight = GaussRational(1)  # xi^depth / depth!
-    for depth in range(1, max_depth + 1):
+    for depth in range(1, _MAX_DEPTH + 1):
         nested = commutator(a, nested)
         if nested.is_zero():
             return Terminated(total)
@@ -197,7 +196,7 @@ def hadamard_conjugate(
                 return Eigen(lam, b)
         weight = weight * xi / depth
         total = total + nested * weight
-    raise NonConvergenceError(max_depth)
+    raise NonConvergenceError(_MAX_DEPTH)
 
 
 def central_bch_prefactor(a: WeylOp, b: WeylOp) -> GaussRational:

@@ -226,7 +226,7 @@ def _model_gauss_text(re: Fraction, im: Fraction) -> str:
     return f"{re}{sign}{'i' if mag == 1 else f'{mag}i'}"
 
 
-def _model_format_poly(q: UniPoly, var: str = "x") -> str:
+def _model_format_poly(q: UniPoly) -> str:
     if q.is_zero():
         return "0"
     parts = []
@@ -236,7 +236,7 @@ def _model_format_poly(q: UniPoly, var: str = "x") -> str:
             text, is_one = str(abs(c.re)), abs(c.re) == 1
         else:
             text, is_one = f"({_model_gauss_text(c.re, c.im)})", False
-        xpart = var if k == 1 else f"{var}^{k}"
+        xpart = "x" if k == 1 else f"x^{k}"
         body = text if k == 0 else xpart if is_one else f"{text}*{xpart}"
         if parts:
             body = ("- " if neg else "+ ") + body
@@ -254,14 +254,13 @@ text_coeff_st = st.one_of(
 )
 
 
-@given(st.dictionaries(st.integers(0, 6), text_coeff_st, max_size=5), st.sampled_from("xt"))
-@example({}, "t")
-@example({3: GaussRational(0, 1), 2: GaussRational(0, -1), 1: GaussRational(-1), 0: 1}, "t")
-@example({1: GaussRational(Fraction(1, 2), Fraction(1, 3)), 0: GaussRational(Fraction(2, 3), 0)},
-         "x")
-def test_text_matches_fraction_model(coeffs, var):
+@given(st.dictionaries(st.integers(0, 6), text_coeff_st, max_size=5))
+@example({})
+@example({3: GaussRational(0, 1), 2: GaussRational(0, -1), 1: GaussRational(-1), 0: 1})
+@example({1: GaussRational(Fraction(1, 2), Fraction(1, 3)), 0: GaussRational(Fraction(2, 3), 0)})
+def test_text_matches_fraction_model(coeffs):
     q = UniPoly(coeffs)
-    assert format_poly(q, var) == _model_format_poly(q, var)
+    assert format_poly(q) == _model_format_poly(q)
     assert str(q) == _model_format_poly(q) and repr(q) == f"UniPoly<{_model_format_poly(q)}>"
     for c in coeffs.values():
         c = GaussRational(0) + c
@@ -282,12 +281,11 @@ def test_text_builds_no_fraction(monkeypatch):
         return original(cls, *args, **kwargs)
 
     monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
-    texts = [format_poly(q), format_poly(q, "t"), str(q), *map(str, scalars)]
+    texts = [format_poly(q), str(q), *map(str, scalars)]
     monkeypatch.undo()
     assert built == 0
-    assert texts[:2] == ["(1/2+1/3i)*x^5 + (-i)*x^3 - 7/4*x + 1",
-                         "(1/2+1/3i)*t^5 + (-i)*t^3 - 7/4*t + 1"]
-    assert texts[3:] == ["3/4-2i", "2/3i", "-5", "i", "6/7+i"]
+    assert texts[:2] == ["(1/2+1/3i)*x^5 + (-i)*x^3 - 7/4*x + 1"] * 2
+    assert texts[2:] == ["3/4-2i", "2/3i", "-5", "i", "6/7+i"]
 
 
 # -------------------------------------------------------------- ShiftedPoly

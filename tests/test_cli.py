@@ -171,6 +171,19 @@ def test_eval_laguerre_rational_alpha(capsys):
     assert out == "-x + 3/2"
 
 
+def test_eval_laguerre_matches_the_recurrence(capsys):
+    """eval builds L_n^a by the explicit sum; table runs the recurrence: same text."""
+    for alpha in ("0", "-1", "-5", "-7/3", "1/2", "97/99", "9999/10001"):
+        family = polyfam.laguerre_recurrence(200, Fraction(alpha))
+        for n in (0, 1, 2, 19, 57, 200):
+            want = str(family[n])
+            assert str(polyfam.laguerre_explicit(n, Fraction(alpha))) == want, (alpha, n)
+            if alpha == "9999/10001":  # past the --alpha cap of 10,000
+                continue
+            code, out, _ = run_cli(capsys, "eval", "laguerre", "--n", str(n), f"--alpha={alpha}")
+            assert (code, out) == (0, want), (alpha, n)
+
+
 def test_eval_laguerre_default_alpha(capsys):
     code, out, _ = run_cli(capsys, "eval", "laguerre", "--n", "2")
     assert code == 0

@@ -4,9 +4,11 @@ import math
 
 import pytest
 
-from weylfun import bessel, harness, polyfam
+from weylfun import bessel, harness, polyfam, weyl
+from weylfun.algebra import GaussRational, UniPoly
 from weylfun.errors import UnknownCheckError
 from weylfun.harness import run_check, run_suite
+from weylfun.weyl import Eigen, Terminated, WeylOp
 
 
 def test_registry_size():
@@ -60,6 +62,48 @@ def test_numeric_result_fails_on_nan():
     assert not c["pass"] and not math.isfinite(c["abs_err"])
     c = harness._numeric_result({}, [(1.0, 1.0), (0.0, float("nan")), (2.0, 2.0)], 1e-12)
     assert not c["pass"] and not math.isfinite(c["abs_err"])
+
+
+@pytest.mark.parametrize("stream", [list, lambda pairs: (pair for pair in pairs)],
+                         ids=["list", "generator"])
+def test_exact_result_counts_unequal_pairs(stream):
+    x, p = WeylOp.x(), WeylOp.p()
+    pairs = [
+        (UniPoly({1: 1}), UniPoly.x()),
+        (UniPoly.one(), UniPoly()),  # unequal
+        (x * p, WeylOp({(1, 1): 1})),
+        (weyl.commutator(x, p), WeylOp()),  # unequal
+        (Terminated(p), Terminated(WeylOp({(0, 1): 1}))),
+        (Terminated(p), Eigen(GaussRational(0), p)),  # unequal
+        (True, True),
+        (False, True),  # unequal
+    ]
+    c = harness._exact_result({}, stream(pairs))
+    assert c["exact"] and c["tolerance"] == 0.0
+    assert c["abs_err"] == 4.0 and not c["pass"]
+
+
+def test_exact_check_counts_each_wrong_route(monkeypatch):
+    explicit = polyfam.laguerre_explicit
+
+    def wrong_at_3(n, alpha):
+        return explicit(n, alpha) + UniPoly.one() if n == 3 else explicit(n, alpha)
+
+    monkeypatch.setattr(polyfam, "laguerre_explicit", wrong_at_3)
+    c = run_check("laguerre_triple_equality")
+    assert c["abs_err"] == 5.0 and not c["pass"]  # one pair at n = 3 per order
+
+
+def test_bch_check_counts_the_missing_exception(monkeypatch):
+    monkeypatch.setattr(weyl, "central_bch_prefactor", lambda a, b: GaussRational(2))
+    c = run_check("weyl_bch_central_prefactor")
+    assert c["abs_err"] == 2.0 and not c["pass"]  # [x, x] is not 2, and x^2, p did not raise
+
+
+def test_antisymmetry_check_fails_on_a_wrong_commutator(monkeypatch):
+    monkeypatch.setattr(weyl, "commutator", lambda a, b: a * b)
+    c = run_check("weyl_commutator_antisymmetry")
+    assert c["abs_err"] > 0.0 and not c["pass"]
 
 
 def test_suite_all_pass_and_counts():

@@ -134,13 +134,8 @@ def test_hadamard_eigen_case():
 def test_hadamard_non_convergent():
     # x^2 + p^2 rotates x into p and back forever
     with pytest.raises(NonConvergenceError) as err:
-        hadamard_conjugate(X2 + P2, X, GaussRational(1), max_depth=16)
-    assert "16" in str(err.value)
-
-
-def test_hadamard_max_depth_validation():
-    with pytest.raises(ValueError):
-        hadamard_conjugate(X, P, GaussRational(1), max_depth=0)
+        hadamard_conjugate(X2 + P2, X, GaussRational(1))
+    assert "64" in str(err.value)
 
 
 @pytest.mark.parametrize(
