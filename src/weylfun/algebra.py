@@ -410,6 +410,7 @@ class ShiftedPoly:
     The terms are held as a UniPoly body in k, which may carry the negative
     k that shifted_derivative produces.  Two values with different offsets
     cannot be combined; the offset is a property of the instance, never mixed.
+    No route in the package uses it any more; it awaits deletion.
     """
 
     __slots__ = ("alpha", "_body")

@@ -19,10 +19,10 @@ from .algebra import format_poly
 from .errors import WeylfunError
 
 # Caps on the flags whose cost grows without bound.  At the cap the costliest
-# form takes ~1.6 s and 90 MB (table laguerre --alpha=97/99 --format json),
+# form takes ~1.3 s and 88 MB (table laguerre --alpha=97/99 --format json),
 # ~4.2 s and 16 MB (disentangle --steps), ~0.6 s (eval psi --n) and ~1.5 s
-# (sum even-hermite --N) on a 2-vCPU Xeon VM.  Each Laguerre
-# coefficient carries alpha's p and q: --alpha=9999/10001 took ~2.1 s and 122 MB.
+# (sum even-hermite --N) on a 2-vCPU Xeon VM.  Each Laguerre coefficient
+# carries alpha's p and q: --alpha=9999/10000 takes ~2.0 s and 131 MB.
 MAX_DEGREE = 200
 MAX_STEPS = 1_000_000
 MAX_ALPHA_TERM = 10_000

@@ -18,7 +18,7 @@ from functools import lru_cache
 from typing import Callable, Sequence
 
 from . import weyl
-from .algebra import GaussRational, UniPoly, ShiftedPoly, _reduced, shifted_derivative
+from .algebra import GaussRational, UniPoly, _int_sum, _made, _times
 from .errors import DomainError, SingularityError
 
 
@@ -37,16 +37,22 @@ class PolyFamily:
 
 # ---------------------------------------------------------------- Hermite
 
+def _degree(n: int, name: str = "n") -> None:
+    """DomainError naming the degree argument when it is negative."""
+    if n < 0:
+        raise DomainError(f"{name} must be >= 0, got {n}")
+
+
 def hermite_recurrence(n_max: int) -> PolyFamily:
-    """H_{n+1} = 2x H_n - 2n H_{n-1} from seeds H_0 = 1, H_1 = 2x."""
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
-    polys = [UniPoly.one()]
-    if n_max >= 1:
-        polys.append(UniPoly.monomial(1, 2))
-    two_x = UniPoly.monomial(1, 2)
-    for n in range(1, n_max):
-        polys.append(two_x * polys[n] - polys[n - 1] * (2 * n))
+    """H_{n+1} = 2x H_n - 2n H_{n-1} from H_0 = 1, stepped on integer numerator maps."""
+    _degree(n_max, "n_max")
+    prev, cur = {}, {0: (1, 0)}
+    polys = [_made(UniPoly, cur, 1)]
+    for n in range(n_max):
+        prev, cur = cur, _int_sum(itertools.chain(
+            ((k + 1, 2 * re, 2 * im) for k, (re, im) in cur.items()), _times(prev, -2 * n)
+        ))
+        polys.append(_made(UniPoly, cur, 1))
     return PolyFamily(tuple(polys))
 
 
@@ -61,13 +67,13 @@ def hermite_rodrigues(n: int) -> UniPoly:
     Each step performs one factor of the n-th derivative of the Gaussian
     with the e^(x^2) prefactor folded back in, so q_n is H_n.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    q = UniPoly.one()
-    two_x = UniPoly.monomial(1, 2)
+    _degree(n)
+    q = {0: (1, 0)}
     for _ in range(n):
-        q = two_x * q - q.derivative()
-    return q
+        q = _int_sum(itertools.chain.from_iterable(
+            ((k + 1, 2 * re, 2 * im), (k - 1, -k * re, -k * im)) for k, (re, im) in q.items()
+        ))
+    return _made(UniPoly, q, 1)
 
 
 def _ladder_powers():
@@ -92,8 +98,7 @@ def _hermite_from_ladder(n: int, power: weyl.WeylOp) -> UniPoly:
 
 def hermite_operator(n: int) -> UniPoly:
     """Operator route: (-i)^n (p + 2ix)^n applied to 1."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    _degree(n)
     return _hermite_from_ladder(n, next(itertools.islice(_ladder_powers(), n, None)))
 
 
@@ -284,36 +289,46 @@ def _order(order_alpha) -> Fraction:
 
 
 def laguerre_recurrence(n_max: int, order_alpha) -> PolyFamily:
-    """(n+1) L_{n+1} = (2n+a+1-x) L_n - (n+a) L_{n-1}, seeds 1 and 1+a-x."""
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
+    """(n+1) L_{n+1} = (2n+a+1-x) L_n - (n+a) L_{n-1} from L_0 = 1.
+
+    With a = p/q, L_n is held as integer numerators N_n over q^n n!, so the step is
+    N_{n+1} = ((2n+1)q + p) N_n - q x N_n - n q (nq + p) N_{n-1}.
+    """
+    _degree(n_max, "n_max")
     a = _order(order_alpha)
-    p, q = a.numerator, a.denominator  # per-degree scalars (c + a) as (c q + p) / q
-    polys = [UniPoly.one()]
-    if n_max >= 1:
-        polys.append(UniPoly({0: 1 + a, 1: -1}))
-    for n in range(1, n_max):
-        lin = UniPoly({0: _reduced((2 * n + 1) * q + p, 0, q), 1: -1})
-        nxt = (lin * polys[n] - polys[n - 1] * _reduced(n * q + p, 0, q)) * _reduced(1, 0, n + 1)
-        polys.append(nxt)
+    p, q = a.numerator, a.denominator
+    prev, cur, den = {}, {0: (1, 0)}, 1
+    polys = [_made(UniPoly, cur, den)]
+    for n in range(n_max):
+        prev, cur = cur, _int_sum(itertools.chain(
+            _times(cur, (2 * n + 1) * q + p),
+            ((k + 1, -q * re, -q * im) for k, (re, im) in cur.items()),
+            _times(prev, -n * q * (n * q + p)),
+        ))
+        den *= q * (n + 1)
+        polys.append(_made(UniPoly, cur, den))
     return PolyFamily(tuple(polys))
 
 
 def laguerre_operator(n: int, order_alpha) -> UniPoly:
-    """Operator route: (1/n!) x^(-a) (d/dx - 1)^n x^(n+a) with an exact offset."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    """Operator route: (1/n!) x^(-a) (d/dx - 1)^n x^(n+a), the offset a held apart."""
+    _degree(n)
     a = _order(order_alpha)
-    s = ShiftedPoly(a, {n: 1})
+    p, q = a.numerator, a.denominator
+    # c_k x^(a+k) held as numerators over q^j; one factor (d/dx - 1) maps it to
+    # ((p + kq) c_k x^(a+k-1) - q c_k x^(a+k)) / q^(j+1).  No key falls below 0.
+    s = {n: (1, 0)}
     for _ in range(n):
-        s = shifted_derivative(s) - s
-    return s.without_offset() * Fraction(1, math.factorial(n))
+        s = _int_sum(itertools.chain.from_iterable(
+            ((k - 1, (p + k * q) * re, (p + k * q) * im), (k, -q * re, -q * im))
+            for k, (re, im) in s.items()
+        ))
+    return _made(UniPoly, s, q ** n * math.factorial(n))
 
 
 def laguerre_explicit(n: int, order_alpha) -> UniPoly:
     """Explicit sum sum_k C(n+a, n-k) (-1)^k x^k / k!."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    _degree(n)
     a = _order(order_alpha)
     p, q = a.numerator, a.denominator
     # Downward from k = n: c_{k-1} = -c_k k (a + k) / (n - k + 1), in exact scalars.

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from math import comb, factorial, perm
+from math import perm
 from typing import Mapping, Union
 
 from .algebra import GaussRational, ScalarLike, UniPoly, as_gauss
@@ -121,10 +121,11 @@ def _product(a: WeylOp, b: WeylOp) -> WeylOp:
         for (j1, k1), (ar, ai) in a._nums.items():
             for (j2, k2), (br, bi) in b._nums.items():
                 re, im = ar * br - ai * bi, ar * bi + ai * br
+                w = 1  # m! C(k1,m) C(j2,m), stepped in ints
                 for m in range(min(k1, j2) + 1):
-                    w = comb(k1, m) * comb(j2, m) * factorial(m)
                     yield (j1 + j2 - m, k1 + k2 - m), w * re, w * im
                     re, im = im, -re  # times -i: the next term carries (-i)^(m+1)
+                    w = w * (k1 - m) * (j2 - m) // (m + 1)
 
     return _made(WeylOp, _int_sum(triples()), a._den * b._den)
 

@@ -50,6 +50,27 @@ def test_hermite_triple_equality_and_oracle():
         assert hs[n] == hermite_sum_oracle(n)
 
 
+def test_hermite_recurrence_matches_rodrigues_at_the_cli_cap():
+    h = polyfam.hermite_recurrence(200)[200]
+    assert h == polyfam.hermite_rodrigues(200)
+    assert h.coeff(200) == GaussRational(2 ** 200)
+
+
+@pytest.mark.parametrize("route", [
+    polyfam.hermite_recurrence,
+    polyfam.hermite_rodrigues,
+    polyfam.hermite_operator,
+    lambda n: polyfam.laguerre_recurrence(n, Fraction(1, 2)),
+    lambda n: polyfam.laguerre_operator(n, Fraction(1, 2)),
+    lambda n: polyfam.laguerre_explicit(n, Fraction(1, 2)),
+], ids=["hermite_recurrence", "hermite_rodrigues", "hermite_operator",
+        "laguerre_recurrence", "laguerre_operator", "laguerre_explicit"])
+@pytest.mark.parametrize("n", [-1, -5])
+def test_exact_routes_reject_a_negative_degree(route, n):
+    with pytest.raises(DomainError, match="must be >= 0"):
+        route(n)
+
+
 @pytest.fixture
 def product_calls(monkeypatch):
     """Count normal-ordered WeylOp products."""
@@ -355,14 +376,17 @@ def test_laguerre_triple_equality(alpha):
         assert ls[n] == polyfam.laguerre_explicit(n, alpha)
 
 
-@pytest.mark.parametrize("alpha", [-1, -3, Fraction(-5, 2), Fraction(-7, 3), Fraction(13, 7)])
+@pytest.mark.parametrize("alpha", [-1, -3, Fraction(-5, 2), Fraction(-7, 3), Fraction(13, 7),
+                                   Fraction(-1, 3), Fraction(97, 99)])
 def test_laguerre_explicit_matches_binomial_sum(alpha):
     from weylfun.algebra import binom_shifted
 
+    ls = polyfam.laguerre_recurrence(12, alpha)
     for n in range(13):
         want = UniPoly({k: binom_shifted(alpha, n, k) * Fraction((-1) ** k, math.factorial(k))
                         for k in range(n + 1)})
         assert polyfam.laguerre_explicit(n, alpha) == want == polyfam.laguerre_operator(n, alpha)
+        assert ls[n] == want
 
 
 _HALF = Fraction(1, 2)

@@ -49,6 +49,20 @@ def m_mul(a: dict, b: dict) -> dict:
     return m_sum((k1 + k2, c1 * c2) for k1, c1 in a.items() for k2, c2 in b.items())
 
 
+def m_normal(j1: int, k1: int, j2: int, k2: int) -> dict:
+    """x^j1 p^k1 x^j2 p^k2 normal-ordered by moving one x past p^k1 at a time."""
+    if not k1 or not j2:
+        return {(j1 + j2, k1 + k2): GaussRational(1)}
+    # p^k x = x p^k - i k p^(k-1)
+    return m_add(m_normal(j1 + 1, k1, j2 - 1, k2),
+                 m_scale(m_normal(j1, k1 - 1, j2 - 1, k2), GaussRational(0, -k1)))
+
+
+def m_wmul(a: dict, b: dict) -> dict:
+    return m_sum((key, c1 * c2 * w) for (j1, k1), c1 in a.items() for (j2, k2), c2 in b.items()
+                 for key, w in m_normal(j1, k1, j2, k2).items())
+
+
 def m_evaluate(a: dict, x0):
     deg = max(a, default=-1)
     if isinstance(x0, complex):
@@ -132,6 +146,7 @@ def test_weylop_matches_model(a, b, s):
         (-wa, m_neg(a)),
         (wa * s, m_scale(a, s)),
         (s * wa, m_scale(a, s)),
+        (wa * wb, m_wmul(a, b)),
     ):
         assert_matches(got, model, WeylOp(model))
         for key in ((0, 0), (1, 2), (3, 3)):
