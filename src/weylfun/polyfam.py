@@ -88,11 +88,12 @@ def _ladder_powers():
 def _hermite_from_ladder(n: int, power: weyl.WeylOp) -> UniPoly:
     """(-i)^n power 1, where power is (p + 2ix)^n; an imaginary coefficient is a bug."""
     out = weyl.apply_to_poly(power, UniPoly.one()) * GaussRational(0, -1) ** n
-    for k, c in out.terms():
-        if not c.is_real():
-            raise RuntimeError(
-                f"imaginary coefficient {c} survived at degree {k}; operator algebra is broken"
-            )
+    imaginary = [k for k, (_, im) in out._nums.items() if im]
+    if imaginary:
+        k = min(imaginary)
+        raise RuntimeError(
+            f"imaginary coefficient {out.coeff(k)} survived at degree {k}; operator algebra is broken"
+        )
     return out
 
 
@@ -129,8 +130,7 @@ def hermite_addition_check(n: int, x0, y0) -> tuple:
     times 2^(-n/2) that is a power of two, so the right side is one integer sum over
     (q_x q_y)^n 2^(n//2).  Both returned values are real Gaussian rationals.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    _degree(n)
     x0, y0 = Fraction(x0), Fraction(y0)
     lhs = _hermite_upto(n)[n].evaluate(GaussRational(x0 + y0))
     hx, hy = _hermite_sqrt2(n, x0), _hermite_sqrt2(n, y0)
@@ -165,8 +165,7 @@ def _finite(x0: complex, name: str = "x") -> complex:
 
 def hermite_genfun_partial(gen_alpha: complex, x0: complex, n_terms: int) -> complex:
     """Partial sum sum_{n<=N} H_n(x) gen_alpha^n / n! (compare e^(-a^2+2ax))."""
-    if n_terms < 0:
-        raise ValueError("n_terms must be >= 0")
+    _degree(n_terms, "n_terms")
     a = _finite(gen_alpha, "gen_alpha")
     acc = 0j
     weight = 1.0 + 0j  # a^n sqrt(2^n n!) / n!
@@ -178,8 +177,7 @@ def hermite_genfun_partial(gen_alpha: complex, x0: complex, n_terms: int) -> com
 
 def even_hermite_partial(t: complex, x0: complex, n_terms: int) -> complex:
     """Partial sum sum_{n<=N} t^n/n! H_{2n}(x); meaningful for |t| < 1/4."""
-    if n_terms < 0:
-        raise ValueError("n_terms must be >= 0")
+    _degree(n_terms, "n_terms")
     tt = _finite(t, "t")
     acc = 0j
     weight = 1.0 + 0j  # t^n sqrt(4^n (2n)!) / n!
@@ -231,8 +229,7 @@ def _psi_seq_scaled(x: complex, log_w: float):
 
 def _psi_pair(n: int, x: complex) -> tuple:
     """(psi_{n-1}(x), psi_n(x)) with psi_{-1} = 0, holding two values at a time."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    _degree(n)
     prev = cur = 0j
     for _, psi in zip(range(n + 1), _psi_seq(x)):
         prev, cur = cur, psi
@@ -262,8 +259,7 @@ def hermite_expand(f: Callable[[float], complex], n_max: int) -> Sequence[comple
     The integrands decay like a Gaussian, so truncation at L = 10 and an
     even moderate node count are already far below the float noise floor.
     """
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
+    _degree(n_max, "n_max")
     L, nodes = EXPAND_HALF_WIDTH, EXPAND_NODES
     h = 2.0 * L / (nodes - 1)
     coeffs = [0j] * (n_max + 1)
@@ -331,19 +327,22 @@ def laguerre_explicit(n: int, order_alpha) -> UniPoly:
     _degree(n)
     a = _order(order_alpha)
     p, q = a.numerator, a.denominator
-    # Downward from k = n: c_{k-1} = -c_k k (a + k) / (n - k + 1), in exact scalars.
-    c = GaussRational(Fraction((-1) ** n, math.factorial(n)))
-    coeffs = {}
+    # Downward from k = n: c_{k-1} = -c_k k (a + k) / (n - k + 1), with c_k held as the
+    # integer N_k over q^n n!, N_n = (-q)^n; the division is exact.  Once p + kq hits 0
+    # every lower numerator is 0.
+    nums = {}
+    c = (-q) ** n
     for k in range(n, -1, -1):
-        coeffs[k] = c
-        c = c * (-k * (p + k * q)) / (q * (n - k + 1))
-    return UniPoly(coeffs)
+        if not c:
+            break
+        nums[k] = (c, 0)
+        c = -c * k * (p + k * q) // (q * (n - k + 1))
+    return _made(UniPoly, nums, q ** n * math.factorial(n))
 
 
 def laguerre_genfun_partial(t: complex, x0: complex, order_alpha, n_terms: int) -> complex:
     """Partial sum sum_{n<=N} L_n^a(x) t^n (compare (1-t)^-(a+1) e^(-xt/(1-t)))."""
-    if n_terms < 0:
-        raise ValueError("n_terms must be >= 0")
+    _degree(n_terms, "n_terms")
     tt = _finite(t, "t")
     if abs(tt) >= 1:
         raise DomainError(f"generating function requires |t| < 1, got |t| = {abs(tt)}")

@@ -4,7 +4,8 @@ An element is a finite sum c_{jk} x^j p^k.  The canonical form keeps every
 x to the left of every p, obtained by iterating p^k x = x p^k - i k p^(k-1).
 WeylOp stores the term-map layout of weylfun.algebra, Gaussian-integer
 numerators over one denominator, so products, the action on a polynomial and
-the Taylor action run on ints with one gcd per result.
+the Taylor action run on ints with one gcd per result.  The product adds each
+term in place and takes the m >= 1 commutation terms only where k1*j2 > 0.
 """
 
 from __future__ import annotations
@@ -116,18 +117,26 @@ class WeylOp:
 def _product(a: WeylOp, b: WeylOp) -> WeylOp:
     # x^j1 p^k1 * x^j2 p^k2: commute the p^k1 block through x^j2 one x at a
     # time via p^k x = x p^k - i k p^(k-1); the iterated rule collapses to
-    # sum_m (-i)^m m! C(k1,m) C(j2,m) x^(j1+j2-m) p^(k1+k2-m).
-    def triples():
-        for (j1, k1), (ar, ai) in a._nums.items():
-            for (j2, k2), (br, bi) in b._nums.items():
-                re, im = ar * br - ai * bi, ar * bi + ai * br
+    # sum_m (-i)^m m! C(k1,m) C(j2,m) x^(j1+j2-m) p^(k1+k2-m); the m >= 1 terms
+    # exist only where k1 j2 > 0.
+    out = {}
+    get = out.get
+    b_items = b._nums.items()
+    for (j1, k1), (ar, ai) in a._nums.items():
+        for (j2, k2), (br, bi) in b_items:
+            re, im = ar * br - ai * bi, ar * bi + ai * br
+            key = (j1 + j2, k1 + k2)
+            s = get(key)
+            out[key] = (re, im) if s is None else (s[0] + re, s[1] + im)
+            if k1 and j2:
                 w = 1  # m! C(k1,m) C(j2,m), stepped in ints
-                for m in range(min(k1, j2) + 1):
-                    yield (j1 + j2 - m, k1 + k2 - m), w * re, w * im
-                    re, im = im, -re  # times -i: the next term carries (-i)^(m+1)
-                    w = w * (k1 - m) * (j2 - m) // (m + 1)
-
-    return _made(WeylOp, _int_sum(triples()), a._den * b._den)
+                for m in range(1, min(k1, j2) + 1):
+                    re, im = im, -re  # times -i: term m carries (-i)^m
+                    w = w * (k1 - m + 1) * (j2 - m + 1) // m
+                    key = (j1 + j2 - m, k1 + k2 - m)
+                    s = get(key)
+                    out[key] = (w * re, w * im) if s is None else (s[0] + w * re, s[1] + w * im)
+    return _made(WeylOp, {k: v for k, v in out.items() if v[0] or v[1]}, a._den * b._den)
 
 
 def commutator(a: WeylOp, b: WeylOp) -> WeylOp:

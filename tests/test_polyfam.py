@@ -71,6 +71,27 @@ def test_exact_routes_reject_a_negative_degree(route, n):
         route(n)
 
 
+@pytest.mark.parametrize("call, name", [
+    (lambda n: polyfam.hermite_addition_check(n, 1, 2), "n"),
+    (lambda n: polyfam.hermite_genfun_partial(0.5, 1.0, n), "n_terms"),
+    (lambda n: polyfam.even_hermite_partial(0.1, 1.0, n), "n_terms"),
+    (lambda n: polyfam.laguerre_genfun_partial(0.5, 1.0, 0, n), "n_terms"),
+    (lambda n: polyfam.psi_eval(n, 1.0), "n"),
+    (lambda n: polyfam.psi_derivative(n, 1.0), "n"),
+    (lambda n: polyfam.hermite_expand(math.exp, n), "n_max"),
+], ids=["hermite_addition_check", "hermite_genfun_partial", "even_hermite_partial",
+        "laguerre_genfun_partial", "psi_eval", "psi_derivative", "hermite_expand"])
+def test_counts_reject_a_negative_value_by_name(call, name):
+    with pytest.raises(DomainError, match=f"^{name} must be >= 0, got -1$"):
+        call(-1)
+
+
+def test_hermite_from_ladder_rejects_a_surviving_imaginary_coefficient():
+    # (-i)^1 applied through the identity leaves -i at degree 0
+    with pytest.raises(RuntimeError, match="imaginary coefficient -i survived at degree 0"):
+        polyfam._hermite_from_ladder(1, weyl.WeylOp.identity())
+
+
 @pytest.fixture
 def product_calls(monkeypatch):
     """Count normal-ordered WeylOp products."""

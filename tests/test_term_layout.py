@@ -154,6 +154,15 @@ def test_weylop_matches_model(a, b, s):
         assert got.scalar_part() == model.get((0, 0), GaussRational(0))
 
 
+def test_weylop_p_power_times_x_power_matches_model():
+    # exponents up to 8 reach the commutation terms m = 1..8, past the strategy's 3
+    for k in range(9):
+        for j in range(9):
+            model = m_wmul({(0, k): GaussRational(1)}, {(j, 0): GaussRational(1)})
+            got = WeylOp({(0, k): 1}) * WeylOp({(j, 0): 1})
+            assert_matches(got, model, WeylOp(model))
+
+
 def test_equal_values_have_equal_fields():
     half = Fraction(1, 2)
     assert UniPoly({1: half}) + UniPoly({1: half}) == UniPoly.x()

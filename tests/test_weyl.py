@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from weylfun import algebra, weyl
+from weylfun import algebra, polyfam, weyl
 from weylfun.algebra import GaussRational, UniPoly
 from weylfun.disentangle import EVEN_HERMITE_EXPONENT, _as_weylop
 from weylfun.errors import NonConvergenceError, NotCentralError
@@ -48,6 +48,18 @@ def test_reorder_single_step():
 
 def test_already_ordered_product():
     assert X * P == WeylOp({(1, 1): 1})
+
+
+def test_ladder_powers_match_the_normal_ordered_closed_form():
+    # (p + 2ix)^n with [p, 2ix] = 2 central: the coefficient of x^j p^k is
+    # n!/(j! k! l!) (2i)^j with l = (n - j - k)/2 (Wilcox, J. Math. Phys. 8, 1967)
+    f = math.factorial
+    for n, power in zip(range(41), polyfam._ladder_powers()):
+        expected = WeylOp({
+            (j, k): GaussRational(0, 2) ** j * (f(n) // (f(j) * f(k) * f((n - j - k) // 2)))
+            for j in range(n + 1) for k in range(n + 1 - j) if (n - j - k) % 2 == 0
+        })
+        assert power == expected, n
 
 
 def test_hermite_ladder_square():
