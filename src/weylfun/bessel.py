@@ -20,9 +20,10 @@ _MILLER_MAX_START = 100_000
 def j_series(n: int, x: float) -> float:
     """Ascending power series with multiplicative term updates.
 
-    Terms are built from their predecessor, so no factorial is ever formed
-    past the first; the sum stops once the next term is below
-    1e-16*(1+|sum|) and the term magnitudes have started to decay.
+    Term m is term m-1 times -(x/2)^2 over the int denominator d = m(m+n),
+    so no factorial is ever formed past the first; the sum stops once the
+    next term is below 1e-16*(1+|sum|) and d > (x/2)^2, where the term
+    magnitudes have started to decay.
     """
     if n < 0:
         raise ValueError("j_series takes n >= 0; use j_signed for negative orders")
@@ -39,12 +40,12 @@ def j_series(n: int, x: float) -> float:
     else:
         term = math.exp(n * math.log(half) - math.lgamma(n + 1))
     total = term
-    for m in range(1000):
-        nxt = -term * half_sq / ((m + 1) * (m + n + 1))
-        past_peak = (m + 1) * (m + n + 1) > half_sq
-        if past_peak and abs(nxt) < 1e-16 * (1.0 + abs(total)):
-            total += nxt
-            return total
+    neg_sq = -half_sq
+    for m in range(1, 1001):
+        d = m * (m + n)
+        nxt = term * neg_sq / d
+        if d > half_sq and abs(nxt) < 1e-16 * (1.0 + abs(total)):
+            return total + nxt
         term = nxt
         total += term
     raise AccuracyError(f"series for J_{n}({x}) did not settle in 1000 terms")
@@ -149,10 +150,15 @@ def _j_orders(orders: range, x: float) -> dict:
 
 
 def _derivative(table: dict, n: int, m: int) -> float:
-    """2^-m sum_{k=0}^{m} (-1)^k C(m,k) J_{n-m+2k}, read from a _j_orders table."""
+    """2^-m sum_{k=0}^{m} (-1)^k C(m,k) J_{n-m+2k}, read from a _j_orders table.
+
+    The signed binomial is stepped in ints, c -> -c(m-k)//(k+1), which is exact.
+    """
     acc = 0.0
+    c = 1  # (-1)^k C(m, k)
     for k in range(m + 1):
-        acc += (-1) ** k * math.comb(m, k) * table[n - m + 2 * k]
+        acc += c * table[n - m + 2 * k]
+        c = -c * (m - k) // (k + 1)
     return acc / 2.0 ** m
 
 

@@ -10,7 +10,10 @@ the t-derivative of the ansatz against the generator:
 
 with f(0) = g(0) = h(0) = 0.  For the even-Hermite generator
 (a, b, c) = (4, -2i, -1) the closed solutions are f = 4t/(4t+1),
-g = -(i/2) ln(4t+1), h = -t/(4t+1).
+g = -(i/2) ln(4t+1), h = -t/(4t+1).  For any exponent, classical RK4 steps
+f's Riccati equation, and g and h, which feed nothing back, are taken as
+quadratures of f's stage values (Wei and Norman, J. Math. Phys. 4, 1963).
+A non-finite time raises DomainError before any step.
 """
 
 from __future__ import annotations
@@ -105,34 +108,49 @@ def _closed_fgh(t: float) -> tuple:
 
 
 def disentangle_closed(t: float) -> FactoredForm:
-    """Closed-form triple for the even-Hermite exponent; needs t > -1/4."""
+    """Closed-form triple for the even-Hermite exponent; needs a finite t > -1/4."""
+    if not math.isfinite(t):
+        raise DomainError(f"t must be finite, got {t!r}")
     return FactoredForm(*_closed_fgh(t), t)
 
 
 def disentangle_ode_trajectory(q: QuadExponent, t_end: float, steps: int):
-    """Yield (t_k, f, g, h) along a fixed-step classical RK4 integration."""
+    """Yield (t_k, f, g, h) along a fixed-step classical RK4 integration.
+
+    Each step is RK4 on f's Riccati equation; with its weights, g's stages are
+    g0 + g1 u at f's stage values u and h's are h0 e^(-4i v) at g's stage values v.
+    """
     if steps < 1:
         raise DomainError("steps must be >= 1")
+    if not math.isfinite(t_end):
+        raise DomainError(f"t_end must be finite, got {t_end!r}")
     (f0, f1, f2), (g0, g1), h0 = system_coefficients(q)
     f = g = h = 0j
     yield 0.0, f, g, h
     dt = t_end / steps
-    half = 0.5 * dt
-    for k in range(steps):
-        t_k = (k + 1) * dt
-        try:  # the four stages (df, dg, dh) of the system, written out for speed
-            a1, b1, c1 = f0 + f1 * f + f2 * f * f, g0 + g1 * f, h0 * cmath.exp(-4j * g)
-            u, v = f + half * a1, g + half * b1
-            a2, b2, c2 = f0 + f1 * u + f2 * u * u, g0 + g1 * u, h0 * cmath.exp(-4j * v)
-            u, v = f + half * a2, g + half * b2
-            a3, b3, c3 = f0 + f1 * u + f2 * u * u, g0 + g1 * u, h0 * cmath.exp(-4j * v)
-            u, v = f + dt * a3, g + dt * b3
-            a4, b4, c4 = f0 + f1 * u + f2 * u * u, g0 + g1 * u, h0 * cmath.exp(-4j * v)
+    half, sixth = 0.5 * dt, dt / 6
+    g_dt, g_sixth, h_sixth = g0 * dt, g1 * sixth, h0 * sixth
+    # g's stage values are g + half*(g0 + g1 u) and g + dt*(g0 + g1 u); -4i times the increments
+    c_half, k_half, c_dt, k_dt = -2j * dt * g0, -2j * dt * g1, -4j * dt * g0, -4j * dt * g1
+    exp = cmath.exp
+    for k in range(1, steps + 1):
+        t_k = k * dt
+        a1 = f0 + (f1 + f2 * f) * f
+        u2 = f + half * a1
+        a2 = f0 + (f1 + f2 * u2) * u2
+        u3 = f + half * a2
+        a3 = f0 + (f1 + f2 * u3) * u3
+        u4 = f + dt * a3
+        a4 = f0 + (f1 + f2 * u4) * u4
+        w = -4j * g
+        try:
+            e = exp(w) + exp(w + (c_dt + k_dt * u3)) + 2 * (
+                exp(w + (c_half + k_half * f)) + exp(w + (c_half + k_half * u2)))
         except OverflowError:
             raise BlowUpError(t_k) from None
-        f += dt * (a1 + 2 * a2 + 2 * a3 + a4) / 6
-        g += dt * (b1 + 2 * b2 + 2 * b3 + b4) / 6
-        h += dt * (c1 + 2 * c2 + 2 * c3 + c4) / 6
+        h += h_sixth * e
+        g += g_dt + g_sixth * (f + u4 + 2 * (u2 + u3))  # before f: it reads the old f
+        f += sixth * (a1 + a4 + 2 * (a2 + a3))
         # abs() of a value with an inf or nan part is inf or nan, which fails the test
         if not (abs(f) < _FINITE_CAP and abs(g) < _FINITE_CAP and abs(h) < _FINITE_CAP):
             raise BlowUpError(t_k)

@@ -49,6 +49,36 @@ def test_series_negative_x_parity():
     assert bessel.j_series(2, -2.0) == bessel.j_series(2, 2.0)
 
 
+def naive_series(n, x):
+    """The series with each denominator formed in full and a separate past-peak test."""
+    if x < 0:
+        return (-1) ** n * naive_series(n, -x)
+    if x == 0.0:
+        return 1.0 if n == 0 else 0.0
+    half = x / 2.0
+    half_sq = half * half
+    if n <= 120:
+        term = half ** n / math.factorial(n)
+    else:
+        term = math.exp(n * math.log(half) - math.lgamma(n + 1))
+    total = term
+    for m in range(1000):
+        nxt = -term * half_sq / ((m + 1) * (m + n + 1))
+        past_peak = (m + 1) * (m + n + 1) > half_sq
+        if past_peak and abs(nxt) < 1e-16 * (1.0 + abs(total)):
+            total += nxt
+            return total
+        term = nxt
+        total += term
+    raise AssertionError("did not settle")
+
+
+@pytest.mark.parametrize("x", [0.0, 1e-300, -1e-300, 1e-3, 0.3, 2.5, -7.25, 9.99, 10.0])
+def test_series_is_bit_equal_to_the_naive_loop(x):
+    for n in range(151):
+        assert bessel.j_series(n, x) == naive_series(n, x), n
+
+
 # ------------------------------------------------------------- integral
 
 def test_integral_trivial_values():

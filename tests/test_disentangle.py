@@ -98,6 +98,82 @@ def test_ode_step_validation():
             disentangle_ode(EVEN_HERMITE_EXPONENT, t_end, 0)
 
 
+@pytest.mark.parametrize("t", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("call, name", [
+    pytest.param(lambda t: disentangle_ode(EVEN_HERMITE_EXPONENT, t, 100), "t_end", id="ode"),
+    pytest.param(lambda t: next(disentangle_ode_trajectory(EVEN_HERMITE_EXPONENT, t, 100)),
+                 "t_end", id="trajectory"),
+    pytest.param(disentangle_closed, "t", id="closed"),
+    pytest.param(lambda t: even_hermite_via_disentangle(t, 0.5), "t", id="pipeline"),
+])
+def test_non_finite_time_is_a_domain_error(call, name, t):
+    with pytest.raises(DomainError, match=f"^{name} must be finite, got"):
+        call(t)
+
+
+def _rk4_model(q, t_end, steps):
+    """The coupled stage-by-stage RK4 on (f, g, h), one stage of all three at a time."""
+    (f0, f1, f2), (g0, g1), h0 = system_coefficients(q)
+
+    def rhs(f, g):
+        return f0 + f1 * f + f2 * f * f, g0 + g1 * f, h0 * cmath.exp(-4j * g)
+
+    f = g = h = 0j
+    yield 0.0, f, g, h
+    dt = t_end / steps
+    half = 0.5 * dt
+    for k in range(steps):
+        t_k = (k + 1) * dt
+        try:
+            a1, b1, c1 = rhs(f, g)
+            a2, b2, c2 = rhs(f + half * a1, g + half * b1)
+            a3, b3, c3 = rhs(f + half * a2, g + half * b2)
+            a4, b4, c4 = rhs(f + dt * a3, g + dt * b3)
+        except OverflowError:
+            raise BlowUpError(t_k) from None
+        f += dt * (a1 + 2 * a2 + 2 * a3 + a4) / 6
+        g += dt * (b1 + 2 * b2 + 2 * b3 + b4) / 6
+        h += dt * (c1 + 2 * c2 + 2 * c3 + c4) / 6
+        if not (abs(f) < 1e100 and abs(g) < 1e100 and abs(h) < 1e100):
+            raise BlowUpError(t_k)
+        yield t_k, f, g, h
+
+
+# the four exponents of the benchmark's RK4 operations
+WORKLOAD_EXPONENTS = (
+    QuadExponent(4.0, -2j, -1.0),
+    QuadExponent(1.0, 0.5j, -0.5),
+    QuadExponent(0.25, 0.5, 0.0),
+    QuadExponent(1j, 0.25 + 0.25j, 0.5),
+)
+
+
+@pytest.mark.parametrize("q", WORKLOAD_EXPONENTS)
+@pytest.mark.parametrize("t_end, steps", [(0.2, 10_000), (0.05, 250), (0.15, 2500), (-0.15, 2500)])
+def test_ode_trajectory_matches_the_coupled_stage_model(q, t_end, steps):
+    """A wrong stage weight moves the trajectory by order dt or dt^2, far above 1e-15."""
+    got = list(disentangle_ode_trajectory(q, t_end, steps))
+    want = list(_rk4_model(q, t_end, steps))
+    assert len(got) == len(want) == steps + 1
+    for point, model in zip(got, want):
+        assert point[0] == model[0]
+        for v, m in zip(point[1:], model[1:]):
+            assert abs(v - m) <= 1e-15 * (1 + abs(m))
+
+
+@pytest.mark.parametrize("q, t_end, steps", [
+    (EVEN_HERMITE_EXPONENT, -0.4, 2000),
+    (QuadExponent(1, 0, -3), 2.0, 5000),
+])
+def test_ode_blow_up_time_matches_the_coupled_stage_model(q, t_end, steps):
+    with pytest.raises(BlowUpError) as got:
+        disentangle_ode(q, t_end, steps)
+    with pytest.raises(BlowUpError) as want:
+        for _ in _rk4_model(q, t_end, steps):
+            pass
+    assert got.value.t_reached == want.value.t_reached
+
+
 # --------------------------------------------------------- specialization
 
 def test_system_specialization_coefficients():
