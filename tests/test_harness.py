@@ -1,6 +1,8 @@
 import inspect
 import json
 import math
+import random
+from fractions import Fraction
 
 import pytest
 
@@ -31,6 +33,15 @@ def test_bessel_addition_at_one_case():
     rhs = bessel.j_series(0, 1.1 + 0.7)
     assert abs(rhs - 0.33998641104255835) <= 1e-13
     assert abs(bessel.j_addition(0, 1.1, 0.7, 30) - rhs) <= 1e-12
+
+
+def test_rand_gauss_matches_two_fraction_draws():
+    rng, model = random.Random(7), random.Random(7)
+    for _ in range(1000):
+        a, b, c, d = (model.randint(-3, 3), model.randint(1, 3),
+                      model.randint(-3, 3), model.randint(1, 3))
+        assert harness._rand_gauss(rng) == GaussRational(Fraction(a, b), Fraction(c, d))
+    assert rng.getstate() == model.getstate()
 
 
 def test_run_check_unknown_name():

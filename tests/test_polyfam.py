@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 import tracemalloc
 from fractions import Fraction
@@ -7,7 +8,7 @@ import mpmath
 import pytest
 
 from weylfun import polyfam, weyl
-from weylfun.algebra import GaussRational, UniPoly
+from weylfun.algebra import GaussRational, UniPoly, _int_sum, _made
 from weylfun.errors import DomainError, SingularityError
 from weylfun.harness import run_check
 
@@ -35,6 +36,21 @@ def test_hermite_rodrigues_examples():
     assert polyfam.hermite_rodrigues(0) == UniPoly.one()
     assert polyfam.hermite_rodrigues(1) == UniPoly.monomial(1, 2)
     assert polyfam.hermite_rodrigues(3) == UniPoly({3: 8, 1: -12})
+
+
+def rodrigues_model(n):
+    """The Rodrigues route as one loop per degree: q -> 2x q - q' from 1, on numerator maps."""
+    q = {0: (1, 0)}
+    for _ in range(n):
+        q = _int_sum(itertools.chain.from_iterable(
+            ((k + 1, 2 * re, 2 * im), (k - 1, -k * re, -k * im)) for k, (re, im) in q.items()
+        ))
+    return _made(UniPoly, q, 1)
+
+
+def test_hermite_rodrigues_matches_its_loop_model():
+    for n in range(41):
+        assert polyfam.hermite_rodrigues(n) == rodrigues_model(n), n
 
 
 def test_hermite_operator_examples():

@@ -275,6 +275,7 @@ def test_kernels_match_term_by_term_model(a, b, q):
 @example(X2 + P, XI_BINARY, UniPoly.x(), 0)
 @example(X + P, GaussRational(0, 1), UniPoly.zero(), 4)
 @example(P2 * Fraction(3, 7), XI_BINARY, UniPoly({1: 2, 3: I}), 6)  # p^2 annihilates q at m = 2
+@example(_as_weylop(EVEN_HERMITE_EXPONENT), XI_BINARY, UniPoly.monomial(2), 30)  # the oracle's case
 def test_exp_taylor_matches_term_by_term_model(w, xi, q, order):
     assert apply_exp_taylor(w, xi, q, order) == model_apply_exp_taylor(w, xi, q, order)
 
