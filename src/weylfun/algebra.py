@@ -159,6 +159,10 @@ def _reduced(re: int, im: int, den: int) -> GaussRational:
     return out
 
 
+def _ints(g: GaussRational) -> tuple:
+    return g._re, g._im, g._den  # for kernels that weight numerator maps by a scalar
+
+
 def as_gauss(v):
     """Coerce int/Fraction to GaussRational; NotImplemented otherwise."""
     if isinstance(v, GaussRational):

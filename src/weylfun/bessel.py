@@ -37,8 +37,8 @@ def j_series(n: int, x: float) -> float:
     half_sq = half * half
     if n <= 120:
         term = half ** n / math.factorial(n)
-    else:
-        term = math.exp(n * math.log(half) - math.lgamma(n + 1))
+    else:  # half is 0.0 where x/2 underflows, and then so is J_n(x)
+        term = math.exp(n * math.log(half) - math.lgamma(n + 1)) if half else 0.0
     total = term
     neg_sq = -half_sq
     for m in range(1, 1001):

@@ -16,9 +16,10 @@ import math
 import random
 from datetime import datetime, timezone
 from fractions import Fraction
+from itertools import chain
 
 from . import bessel, disentangle, polyfam, weyl
-from .algebra import GaussRational, UniPoly, binom_shifted
+from .algebra import GaussRational, UniPoly, _reduced, binom_shifted
 from .errors import NotCentralError, UnknownCheckError
 
 SEED = 20260801
@@ -48,16 +49,16 @@ def _exact_result(params, pairs, lhs=0j, rhs=0j) -> dict:
 
 
 def _numeric_result(params, pairs, tol, scale=None) -> dict:
-    """Aggregate (lhs, rhs) pairs into a worst-case check record.
+    """Aggregate (lhs, rhs) pairs of floats or complexes into a worst-case check record.
 
-    With scale, the error of each pair is divided by scale(lhs, rhs)
-    before comparing against the tolerance (relative-style bounds).  A
+    A pair's error is abs(lhs - rhs), bit-equal to that of complex(lhs) and complex(rhs);
+    with scale it is divided by scale(lhs, rhs) (relative-style bounds).  A
     NaN error counts as infinite, so a non-finite pair fails the check.
     """
     worst = -1.0
     wl = wr = 0j
     for lhs, rhs in pairs:
-        err = abs(complex(lhs) - complex(rhs))
+        err = abs(lhs - rhs)
         if scale is not None:
             err /= scale(lhs, rhs)
         if math.isnan(err):
@@ -69,12 +70,9 @@ def _numeric_result(params, pairs, tol, scale=None) -> dict:
 
 # ------------------------------------------------------- seeded generators
 
-def _rand_fraction(rng) -> Fraction:
-    return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
-
-
 def _rand_gauss(rng) -> GaussRational:
-    return GaussRational(_rand_fraction(rng), _rand_fraction(rng))
+    a, b, c, d = rng.randint(-3, 3), rng.randint(1, 3), rng.randint(-3, 3), rng.randint(1, 3)
+    return _reduced(a * d, c * b, b * d)
 
 
 def _rand_poly(rng, max_degree=4) -> UniPoly:
@@ -137,7 +135,7 @@ def check_algebra_eval_multiplicative(seed: int):
     pairs = []
     for _ in range(trials):
         a, b = _rand_poly(rng), _rand_poly(rng)
-        x0 = GaussRational(_rand_fraction(rng), _rand_fraction(rng))
+        x0 = _rand_gauss(rng)
         pairs.append(((a * b).evaluate(x0), a.evaluate(x0) * b.evaluate(x0)))
     return _exact_result({"trials": trials}, pairs)
 
@@ -311,8 +309,9 @@ def check_hermite_triple_equality(seed: int):
     hs = polyfam.hermite_recurrence(n_max)
 
     def pairs():  # streamed: one n's route results are alive at a time
-        for n, power in zip(range(n_max + 1), polyfam._ladder_powers()):
-            yield hs[n], polyfam.hermite_rodrigues(n)
+        steps = zip(range(n_max + 1), polyfam._rodrigues_steps(), polyfam._ladder_powers())
+        for n, rodrigues, power in steps:
+            yield hs[n], rodrigues
             yield hs[n], polyfam._hermite_from_ladder(n, power)
 
     return _exact_result({"n_max": n_max}, pairs())
@@ -577,10 +576,10 @@ def check_disentangle_closed_form_residual(seed: int):
 @_register
 def check_disentangle_rk4_vs_closed(seed: int):
     t_end, steps, tol = 0.2, 10_000, 1e-10
-    pairs = []
     traj = disentangle.disentangle_ode_trajectory(disentangle.EVEN_HERMITE_EXPONENT, t_end, steps)
-    for t, f, g, h in traj:
-        pairs.extend(zip((f, g, h), disentangle._closed_fgh(t)))
+    ts, *fgh = zip(*traj)
+    closed = chain.from_iterable(map(disentangle._closed_fgh, ts))
+    pairs = zip(chain.from_iterable(zip(*fgh)), closed)
     return _numeric_result({"t_end": t_end, "steps": steps}, pairs, tol)
 
 
@@ -595,12 +594,14 @@ def check_disentangle_system_specialization(seed: int):
 def check_disentangle_operator_equivalence(seed: int):
     order, tol = 30, 1e-8
     probes = [UniPoly.one(), UniPoly.x(), UniPoly.monomial(2)]
+    op = disentangle._as_weylop(disentangle.EVEN_HERMITE_EXPONENT)
+    powers = [weyl._taylor_powers(op, q, order) for q in probes]  # W^m q, shared by both times
     pairs = []
     for t in (0.02, 0.05):
         form = disentangle.disentangle_closed(t)
-        for q in probes:
+        for q, q_powers in zip(probes, powers):
             factored = disentangle.apply_factored(form, q)
-            taylor = disentangle.exp_taylor_apply(disentangle.EVEN_HERMITE_EXPONENT, t, q, order)
+            taylor = weyl._taylor_sum(op, q, q_powers, GaussRational(Fraction(t)))
             for x in (0.0, 0.5, 1.0):
                 pairs.append((factored.value_at(x), taylor.evaluate(x)))
     return _numeric_result({"order": order}, pairs, tol)

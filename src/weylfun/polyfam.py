@@ -61,6 +61,16 @@ def _hermite_upto(n_max: int) -> PolyFamily:
     return hermite_recurrence(n_max)
 
 
+def _rodrigues_steps():
+    """Yield H_0, H_1, ... by iterating q -> 2x q - q' from 1, one pass per degree."""
+    q = {0: (1, 0)}
+    while True:
+        yield _made(UniPoly, q, 1)
+        q = _int_sum(itertools.chain.from_iterable(
+            ((k + 1, 2 * re, 2 * im), (k - 1, -k * re, -k * im)) for k, (re, im) in q.items()
+        ))
+
+
 def hermite_rodrigues(n: int) -> UniPoly:
     """Differential route: iterate q -> 2x q - q' starting from 1.
 
@@ -68,12 +78,7 @@ def hermite_rodrigues(n: int) -> UniPoly:
     with the e^(x^2) prefactor folded back in, so q_n is H_n.
     """
     _degree(n)
-    q = {0: (1, 0)}
-    for _ in range(n):
-        q = _int_sum(itertools.chain.from_iterable(
-            ((k + 1, 2 * re, 2 * im), (k - 1, -k * re, -k * im)) for k, (re, im) in q.items()
-        ))
-    return _made(UniPoly, q, 1)
+    return next(itertools.islice(_rodrigues_steps(), n, None))
 
 
 def _ladder_powers():
@@ -185,7 +190,7 @@ def even_hermite_partial(t: complex, x0: complex, n_terms: int) -> complex:
     for n, h2n in zip(range(n_terms + 1), evens):
         acc += weight * h2n
         weight *= 2 * tt * math.sqrt((2 * n + 1) * (2 * n + 2)) / (n + 1)
-    return acc
+    return _finite(acc, f"partial sum at t = {t!r}, x = {x0!r}, n_terms = {n_terms}")
 
 
 def even_hermite_closed(t: complex, x0: complex) -> complex:
@@ -195,7 +200,11 @@ def even_hermite_closed(t: complex, x0: complex) -> complex:
     if w.imag == 0.0 and w.real <= 0.0:
         raise SingularityError(f"closed form is singular on 4t+1 <= 0 (got 4t+1 = {w.real})")
     x = _finite(x0)
-    return cmath.exp(4 * tt * x * x / w) / cmath.sqrt(w)
+    try:
+        value = cmath.exp(4 * tt * x * x / w) / cmath.sqrt(w)
+    except OverflowError:
+        value = math.inf
+    return _finite(value, f"closed form at t = {t!r}, x = {x0!r}")
 
 
 # --------------------------------------------------------- psi functions

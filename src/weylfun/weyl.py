@@ -3,21 +3,20 @@
 An element is a finite sum c_{jk} x^j p^k.  The canonical form keeps every
 x to the left of every p, obtained by iterating p^k x = x p^k - i k p^(k-1).
 WeylOp stores the term-map layout of weylfun.algebra, Gaussian-integer
-numerators over one denominator, so products, the action on a polynomial and
-the Taylor action run on ints with one gcd per result.  The product adds each
-term in place and takes the m >= 1 commutation terms only where k1*j2 > 0.
+numerators over one denominator, so its kernels run on ints with one gcd per
+result.  The product adds each term in place and takes the m >= 1 commutation
+terms only where k1*j2 > 0; the Taylor action weights w^m q by xi^m/m! once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
-from math import perm
+from math import factorial, perm
 from typing import Mapping, Union
 
 from .algebra import GaussRational, ScalarLike, UniPoly, as_gauss
-from .algebra import _add, _coeff, _eq, _from_items, _int_sum, _made, _neg, _scale, _sub
-from .algebra import _terms, _times
+from .algebra import _add, _coeff, _eq, _from_items, _int_sum, _ints, _made, _neg, _scale, _sub
+from .algebra import _terms
 from .errors import NonConvergenceError, NotCentralError
 
 
@@ -228,6 +227,29 @@ def apply_to_poly(w: WeylOp, q: UniPoly) -> UniPoly:
     return _made(UniPoly, _act(w._nums, q._nums), w._den * q._den)
 
 
+def _taylor_powers(w: WeylOp, q: UniPoly, order: int) -> list:
+    """Numerator maps of w^m q over qden*wden^m, for m = 0 up to order or the last nonzero one."""
+    powers = [q._nums]
+    while len(powers) <= order and (nxt := _act(w._nums, powers[-1])):
+        powers.append(nxt)
+    return powers
+
+
+def _taylor_sum(w: WeylOp, q: UniPoly, powers: list, xi: GaussRational) -> UniPoly:
+    """sum_m xi^m/m! w^m q from the _taylor_powers of w and q, with one gcd."""
+    xr, xim, xd = _ints(xi)  # xi = (xr + xim i)/xd
+    s, top = xd * w._den, len(powers) - 1  # the sum is held over qden*s^M*M!, M = top
+    den = c = s ** top * factorial(top)
+    weights, ar, ai = [], 1, 0  # power m weighs (xr + xim i)^m s^(M-m) M!/m!
+    for m in range(1, top + 2):
+        weights.append((c * ar, c * ai))
+        ar, ai, c = ar * xr - ai * xim, ar * xim + ai * xr, c // (s * m)
+    return _made(UniPoly, _int_sum(
+        (k, wr * re - wi * im, wr * im + wi * re)
+        for (wr, wi), nums in zip(weights, powers) for k, (re, im) in nums.items()
+    ), q._den * den)
+
+
 def apply_exp_taylor(w: WeylOp, xi: ScalarLike, q: UniPoly, order: int) -> UniPoly:
     """Exact truncated Taylor action: sum_{m<=order} xi^m/m! w^m q."""
     if order < 0:
@@ -235,17 +257,6 @@ def apply_exp_taylor(w: WeylOp, xi: ScalarLike, q: UniPoly, order: int) -> UniPo
     xi = as_gauss(xi)
     if xi is NotImplemented:
         raise TypeError("xi must be an exact scalar")
-    # With xi w = wn / wden, (xi w)^m q is held as numerators over qden*wden^m, the
-    # sum as numerators over den = qden*wden^m*m!; the one gcd runs on the result.
-    xw = _scale(w, xi)
-    den = q._den
-    acc = powq = q._nums
-    for m in range(1, order + 1):
-        powq = _act(xw._nums, powq)
-        if not powq:
-            break
-        scale = xw._den * m
-        den *= scale
-        acc = _int_sum(chain(_times(acc, scale), _times(powq, 1)))
-    return _made(UniPoly, acc, den)
-
+    if xi.is_zero():
+        return q
+    return _taylor_sum(w, q, _taylor_powers(w, q, order), xi)

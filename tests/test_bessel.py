@@ -22,6 +22,11 @@ def test_series_at_origin():
     assert bessel.j_series(2, 0.0) == 0.0
 
 
+def test_series_high_order_where_half_x_underflows():
+    assert bessel.j_series(121, 5e-324) == 0.0  # x/2 is 0.0; the log route took log(0)
+    assert bessel.j_series(120, 5e-324) == 0.0
+
+
 def test_series_frozen_value():
     assert bessel.j_series(0, 1.0) == pytest.approx(J0_AT_1, abs=1e-15)
 

@@ -208,6 +208,21 @@ def test_eval_bessel_past_the_series_range(capsys):
     assert payload["value"] == pytest.approx(-0.1261448155058208, abs=1e-12)
 
 
+def test_eval_bessel_high_order_at_the_smallest_float(capsys):
+    code, out, err = run_cli(capsys, "eval", "bessel", "--n", "121", "--x", "5e-324")
+    assert (code, out, err) == (0, "0", "")
+
+
+@pytest.mark.parametrize("argv", [
+    ("--t", "10", "--x", "30"),
+    ("--t", "11.7", "--x", "1.84", "--N", "1875"),
+], ids=["closed_overflows", "partial_is_nan"])
+def test_sum_even_hermite_overflow_is_an_error(capsys, argv):
+    code, out, err = run_cli(capsys, "sum", "even-hermite", *argv)
+    assert code == 1
+    assert out == "" and "error[DomainError]" in err
+
+
 def test_eval_bessel_has_no_method_flag(capsys):
     with pytest.raises(SystemExit) as err:
         main(["eval", "bessel", "--n", "0", "--x", "1", "--method", "miller"])

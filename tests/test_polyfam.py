@@ -226,6 +226,16 @@ def test_even_hermite_partial_matches_closed():
         assert abs(polyfam.even_hermite_partial(0.1, 1.0, n_terms) - want) <= 1e-10
 
 
+def test_even_hermite_overflow_is_a_domain_error():
+    with pytest.raises(DomainError, match="t = 10, x = 30"):
+        polyfam.even_hermite_closed(10, 30)  # exp(4tx^2/(4t+1)) overflows
+    with pytest.raises(DomainError, match="x = 1e.200"):
+        polyfam.even_hermite_closed(10, 1e200)  # x^2 overflows: the value was nan
+    with pytest.raises(DomainError, match="n_terms = 1875"):
+        polyfam.even_hermite_partial(11.7, 1.84, 1875)  # the sum was nan
+    assert cmath.isfinite(polyfam.even_hermite_partial(11.7, 1.84, 100))
+
+
 def test_even_hermite_singularity():
     with pytest.raises(SingularityError):
         polyfam.even_hermite_closed(-0.25, 0.0)

@@ -280,6 +280,20 @@ def test_exp_taylor_matches_term_by_term_model(w, xi, q, order):
     assert apply_exp_taylor(w, xi, q, order) == model_apply_exp_taylor(w, xi, q, order)
 
 
+def test_taylor_powers_shared_across_times_match_apply_exp_taylor():
+    op = _as_weylop(EVEN_HERMITE_EXPONENT)
+    for q in (UniPoly.one(), UniPoly.x(), UniPoly.monomial(2)):
+        powers = weyl._taylor_powers(op, q, 30)
+        for t in (0.02, 0.05):
+            xi = GaussRational(Fraction(t))
+            assert weyl._taylor_sum(op, q, powers, xi) == apply_exp_taylor(op, xi, q, 30)
+
+
+def test_exp_taylor_at_zero_is_the_probe():
+    q = UniPoly({0: Fraction(1, 3), 2: I})
+    assert apply_exp_taylor(X2 + P2, GaussRational(0), q, 30) is q
+
+
 def test_kernels_build_one_scalar_per_output_coefficient(monkeypatch):
     """No kernel builds a GaussRational; reading terms() builds one per coefficient."""
     op = _as_weylop(EVEN_HERMITE_EXPONENT)
