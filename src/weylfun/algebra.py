@@ -12,7 +12,50 @@ from itertools import chain
 from math import gcd, lcm
 from typing import Iterable, Mapping, Union
 
+from .errors import DomainError
+
 ScalarLike = Union[int, Fraction, "GaussRational"]
+
+
+class _Record:
+    """Immutable record of its __slots__, built by position or keyword and checked by
+    _validate; equal and hashed by class and fields, shown as Name(field=value, ...)."""
+
+    __slots__ = ()
+
+    def __init__(self, *args, **kwargs):
+        names = self.__slots__
+        if kwargs or len(args) != len(names):  # bind by name; all-positional calls skip this
+            values = dict(zip(names, args), **kwargs)
+            if len(args) + len(kwargs) != len(names) or values.keys() != set(names):
+                raise TypeError(f"{type(self).__name__}() takes the fields {', '.join(names)}")
+            args = [values[name] for name in names]
+        for name, value in zip(names, args):
+            object.__setattr__(self, name, value)
+        self._validate()
+
+    def _validate(self):
+        pass
+
+    def __reduce__(self):  # (class, fields): pickling rebuilds from it, equality compares it
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if not isinstance(other, _Record):
+            return NotImplemented
+        return self.__reduce__() == other.__reduce__()
+
+    def __hash__(self):
+        return hash(self.__reduce__()[1])
+
+    def __repr__(self):
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({body})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
 
 
 def _as_fraction(v) -> Fraction:
@@ -348,7 +391,7 @@ class UniPoly:
     def shift(self, j: int) -> "UniPoly":
         """Multiply by x**j."""
         if j < 0:
-            raise ValueError("shift exponent must be nonnegative")
+            raise DomainError("shift exponent must be nonnegative")
         return _made(UniPoly, {k + j: v for k, v in self._nums.items()}, self._den)
 
     def evaluate(self, x0):

@@ -15,6 +15,7 @@ _I_POW = (1 + 0j, 1j, -1 + 0j, -1j)  # i**n cycles with period 4
 
 # j_miller holds one float per order from its start index down to 0
 _MILLER_MAX_START = 100_000
+_LOG_HALF_TINY = math.log(5e-324) - math.log(2)  # log of half the least subnormal float
 
 
 def j_series(n: int, x: float) -> float:
@@ -131,8 +132,8 @@ def j_signed(n: int, x: float) -> float:
 def _j_orders(orders: range, x: float) -> dict:
     """{k: J_k(x)} for k in orders: one j_series call per |k| at |x| for |x| <= 10,
     where the series loses at most ~e^10 eps to cancellation, or one j_miller run
-    to max |k| beyond.  Raises DomainError for a non-finite x or an order above
-    _MILLER_MAX_START before evaluating anything.
+    beyond, to the last |k| whose J_k(x) can be a nonzero float.  Raises DomainError
+    for a non-finite x or an order above _MILLER_MAX_START before evaluating anything.
 
     J_{-n} = (-1)^n J_n and J_n(-x) = (-1)^n J_n(x) are forced by the
     t -> -1/t and t -> -t symmetries of the generating function.
@@ -144,8 +145,14 @@ def _j_orders(orders: range, x: float) -> dict:
         raise DomainError(f"order {top} is above {_MILLER_MAX_START}")
     if abs(x) <= 10.0:
         row = {m: j_series(m, abs(x)) for m in {abs(k) for k in orders}}
-    else:
-        row = j_miller(top, abs(x))
+    else:  # J_m(x) is 0.0 where its bound (|x|/2)^m / m! (DLMF 10.14.4) is below _LOG_HALF_TINY
+        log_half = math.log(abs(x) / 2)
+        if top * log_half - math.lgamma(top + 1) >= _LOG_HALF_TINY:
+            row = j_miller(top, abs(x))
+        else:
+            row = dict.fromkeys({abs(k) for k in orders}, 0.0)
+            live = [m for m in row if m * log_half - math.lgamma(m + 1) >= _LOG_HALF_TINY]
+            row.update(enumerate(j_miller(max(live), abs(x)) if live else ()))
     return {k: -row[abs(k)] if k % 2 and (k < 0) != (x < 0) else row[abs(k)] for k in orders}
 
 

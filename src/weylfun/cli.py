@@ -10,6 +10,7 @@ import argparse
 import csv
 import io
 import json
+import re
 import sys
 from fractions import Fraction
 from functools import cache, partial
@@ -62,6 +63,7 @@ _degree = partial(_nonneg_int, limit=MAX_DEGREE)
 _steps = partial(_nonneg_int, limit=MAX_STEPS)
 _alpha = partial(_fraction_flag, limit=MAX_ALPHA_TERM)
 _ALPHA_HELP = f"order alpha, decimal or p/q (default 0), |p| and q at most {MAX_ALPHA_TERM:,}"
+_NUMBER_AFTER_FLAG = re.compile(r"-\.?\d")  # argparse's own pattern misses -1e-5, -2i and -1/4
 
 
 @cache  # built on the first main() call, never at import; parse_args keeps no state
@@ -142,6 +144,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _output_flags(p, formats=("text", "json"), flag="--output"):
+    p._negative_number_matcher = _NUMBER_AFTER_FLAG  # every leaf command: --x -1e-5 is x = -1e-5
     p.add_argument(flag, dest="output", choices=formats, default="text", help="output format")
     p.add_argument("--out", dest="out_path", default=None, help="write output to FILE")
 

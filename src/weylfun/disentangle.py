@@ -20,11 +20,10 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import weyl
-from .algebra import GaussRational, UniPoly
+from .algebra import GaussRational, UniPoly, _Record
 from .errors import BlowUpError, DomainError, SingularityError
 
 _FINITE_CAP = 1e100
@@ -35,15 +34,12 @@ def _require_finite(z: complex, what: str):
         raise DomainError(f"{what} must be finite, got {z!r}")
 
 
-@dataclass(frozen=True)
-class QuadExponent:
+class QuadExponent(_Record):
     """Coefficients (a_x2, b_mix, c_p2) of x^2, xp+px, p^2 in the exponent."""
 
-    a_x2: complex
-    b_mix: complex
-    c_p2: complex
+    __slots__ = ("a_x2", "b_mix", "c_p2")
 
-    def __post_init__(self):
+    def _validate(self):
         for name in ("a_x2", "b_mix", "c_p2"):
             _require_finite(complex(getattr(self, name)), name)
 
@@ -53,30 +49,24 @@ class QuadExponent:
 EVEN_HERMITE_EXPONENT = QuadExponent(4.0, -2j, -1.0)
 
 
-@dataclass(frozen=True)
-class FactoredForm:
+class FactoredForm(_Record):
     """Disentangled triple (f, g, h) at time t."""
 
-    f: complex
-    g: complex
-    h: complex
-    t: float
+    __slots__ = ("f", "g", "h", "t")
 
-    def __post_init__(self):
+    def _validate(self):
         for name in ("f", "g", "h"):
             _require_finite(complex(getattr(self, name)), name)
         if self.t == 0.0 and (self.f != 0 or self.g != 0 or self.h != 0):
             raise ValueError("at t = 0 the factored form must be the identity (0, 0, 0)")
 
 
-@dataclass(frozen=True)
-class ExpQuadPoly:
+class ExpQuadPoly(_Record):
     """Function e^(quad_coeff * x^2) * poly(x); poly stored by ascending degree."""
 
-    quad_coeff: complex
-    poly: tuple
+    __slots__ = ("quad_coeff", "poly")
 
-    def __post_init__(self):
+    def _validate(self):
         _require_finite(complex(self.quad_coeff), "quad_coeff")
         for c in self.poly:
             _require_finite(complex(c), "poly coefficient")
@@ -189,7 +179,7 @@ def apply_factored(form: FactoredForm, q: UniPoly) -> ExpQuadPoly:
     scaled = tuple(
         ck * cmath.exp(-1j * (2 * k + 1) * form.g) for k, ck in enumerate(smoothed)
     )
-    return ExpQuadPoly(quad_coeff=complex(form.f), poly=scaled)
+    return ExpQuadPoly(complex(form.f), scaled)
 
 
 def _as_weylop(q: QuadExponent) -> weyl.WeylOp:

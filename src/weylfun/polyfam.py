@@ -12,21 +12,19 @@ import cmath
 import itertools
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Sequence
 
 from . import weyl
-from .algebra import GaussRational, UniPoly, _int_sum, _made, _times
+from .algebra import GaussRational, UniPoly, _Record, _int_sum, _made, _times
 from .errors import DomainError, SingularityError
 
 
-@dataclass(frozen=True)
-class PolyFamily:
+class PolyFamily(_Record):
     """Polynomials P_0..P_N of one family (Hermite, or Laguerre of one order), index = degree."""
 
-    polys: tuple
+    __slots__ = ("polys",)
 
     def __getitem__(self, n: int) -> UniPoly:
         return self.polys[n]
@@ -200,10 +198,14 @@ def even_hermite_closed(t: complex, x0: complex) -> complex:
     if w.imag == 0.0 and w.real <= 0.0:
         raise SingularityError(f"closed form is singular on 4t+1 <= 0 (got 4t+1 = {w.real})")
     x = _finite(x0)
+    arg = 4 * tt * x * x / w
     try:
-        value = cmath.exp(4 * tt * x * x / w) / cmath.sqrt(w)
-    except OverflowError:
-        value = math.inf
+        value = cmath.exp(arg) / cmath.sqrt(w)
+    except OverflowError:  # exp(arg) can overflow where the quotient is finite
+        try:
+            value = cmath.exp(arg - cmath.log(w) / 2)
+        except OverflowError:
+            value = math.inf
     return _finite(value, f"closed form at t = {t!r}, x = {x0!r}")
 
 

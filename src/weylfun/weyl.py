@@ -10,14 +10,13 @@ terms only where k1*j2 > 0; the Taylor action weights w^m q by xi^m/m! once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import factorial, perm
 from typing import Mapping, Union
 
-from .algebra import GaussRational, ScalarLike, UniPoly, as_gauss
+from .algebra import GaussRational, ScalarLike, UniPoly, _Record, as_gauss
 from .algebra import _add, _coeff, _eq, _from_items, _int_sum, _ints, _made, _neg, _scale, _sub
 from .algebra import _terms
-from .errors import NonConvergenceError, NotCentralError
+from .errors import DomainError, NonConvergenceError, NotCentralError
 
 
 def _act(w: dict, q: dict) -> dict:
@@ -87,7 +86,7 @@ class WeylOp:
 
     def __pow__(self, n: int) -> "WeylOp":
         if not isinstance(n, int) or n < 0:
-            raise ValueError("operator power requires an integer n >= 0")
+            raise DomainError("operator power requires an integer n >= 0")
         out = WeylOp.identity()
         for _ in range(n):
             out = out * self
@@ -146,19 +145,16 @@ def commutator(a: WeylOp, b: WeylOp) -> WeylOp:
 xp_plus_px = WeylOp({(1, 1): 2, (0, 0): GaussRational(0, -1)})  # xp + px = 2xp - i
 
 
-@dataclass(frozen=True)
-class Terminated:
-    """Conjugation whose nested-commutator series is a finite exact sum."""
+class Terminated(_Record):
+    """Conjugation whose nested-commutator series is a finite exact sum (a WeylOp result)."""
 
-    result: WeylOp
+    __slots__ = ("result",)
 
 
-@dataclass(frozen=True)
-class Eigen:
+class Eigen(_Record):
     """Conjugation with [A, B] = eigenvalue * B, i.e. e^(xi*A) B e^(-xi*A) = e^(xi*eigenvalue) B."""
 
-    eigenvalue: GaussRational
-    op: WeylOp
+    __slots__ = ("eigenvalue", "op")
 
 
 ConjugationResult = Union[Terminated, Eigen]

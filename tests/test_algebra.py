@@ -13,6 +13,7 @@ from weylfun.algebra import (
     format_poly,
     shifted_derivative,
 )
+from weylfun.errors import DomainError
 
 fractions_st = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 gauss_st = st.builds(GaussRational, fractions_st, fractions_st)
@@ -169,6 +170,12 @@ def test_negative_degree_rejected():
     with pytest.raises(ValueError):
         UniPoly.monomial(-2, 3)
     assert ShiftedPoly(Fraction(1, 2), {-1: 2}).terms() == ((-1, GaussRational(2)),)
+
+
+def test_negative_shift_is_a_domain_error():
+    with pytest.raises(DomainError, match="shift exponent"):
+        UniPoly.x().shift(-1)
+    assert UniPoly.x().shift(2) == UniPoly.monomial(3)
 
 
 def test_no_zero_coefficients_stored():

@@ -2,6 +2,7 @@ import cmath
 import inspect
 import math
 import sys
+import time
 
 import mpmath
 import pytest
@@ -378,6 +379,38 @@ def test_jacobi_anger_makes_one_miller_run(bessel_calls):
     miller = bessel_calls("j_miller")
     bessel.jacobi_anger_partial(20000.0, 0.3, 40)
     assert len(miller) == 1  # one run per order made 81
+
+
+def test_order_past_the_underflow_bound_is_zero_without_miller(bessel_calls):
+    miller = bessel_calls("j_miller")
+    start = time.perf_counter()
+    assert bessel.j_signed(99000, 10.5) == 0.0
+    assert bessel.j_signed(-99001, 10.5) == 0.0
+    assert time.perf_counter() - start < 0.2  # a rescaled Miller run to 99000 takes ~3 s
+    assert miller == []
+
+
+# (x, first order whose bound (|x|/2)^n / n! is below half the least subnormal)
+UNDERFLOW_CUTS = [(10.5, 257), (50.0, 412), (-50.0, 412)]
+
+
+@pytest.mark.parametrize("x, cut", UNDERFLOW_CUTS)
+def test_orders_either_side_of_the_underflow_bound_match_mpmath(x, cut):
+    orders = [cut - 60, cut - 30] + list(range(cut - 6, cut + 4))
+    with mpmath.workdps(40):
+        want = {n: float(mpmath.besselj(n, x)) for n in orders}
+    assert [n for n in orders if want[n] == 0.0] == list(range(cut, cut + 4))
+    for n in orders:  # subnormals carry an absolute error of half their 5e-324 spacing
+        assert abs(bessel.j_signed(n, x) - want[n]) <= 1e-12 * abs(want[n]) + 5e-324, n
+    table = bessel._j_orders(range(cut - 6, cut + 4), x)
+    assert all(table[n] == bessel.j_signed(n, x) for n in range(cut, cut + 4))
+
+
+def test_table_below_the_underflow_bound_is_one_full_miller_run():
+    assert bessel.j_signed(200, 50.0) == bessel.j_miller(200, 50.0)[200]
+    row = bessel.j_miller(255, 10.5)  # top order 255 sits below the cut at 257
+    want = {k: (-1) ** k * row[-k] if k < 0 else row[k] for k in range(-5, 256)}
+    assert bessel._j_orders(range(-5, 256), 10.5) == want
 
 
 HUGE_CUT = 10**9

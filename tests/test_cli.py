@@ -464,3 +464,17 @@ def test_write_failure_reports_path(capsys):
     )
     assert code == 1
     assert "/nonexistent-dir/table.csv" in err
+
+
+@pytest.mark.parametrize("spaced, joined", [
+    ("eval bessel --x -1e-5 --n 2", "eval bessel --x=-1e-5 --n 2"),
+    ("eval psi --n 2 --x -1E+1", "eval psi --n 2 --x=-1E+1"),
+    ("sum even-hermite --t -1e-2 --x 1", "sum even-hermite --t=-1e-2 --x 1"),
+    ("sum even-hermite --x -2.5e0 --t 1/8", "sum even-hermite --x=-2.5e0 --t 1/8"),
+    ("disentangle --t -1/8 --beta -2i", "disentangle --t=-1/8 --beta=-2i"),
+])
+def test_numeric_flags_take_negative_values_in_any_form(capsys, spaced, joined):
+    """argparse took -1e-5 after a flag for an option; it is the flag's value, as in --x=-1e-5."""
+    code, out, err = run_cli(capsys, *spaced.split())
+    assert code == 0, err
+    assert run_cli(capsys, *joined.split())[:2] == (0, out)

@@ -1,12 +1,14 @@
 import cmath
+import copy
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weylfun import disentangle, polyfam
+from weylfun import disentangle, polyfam, weyl
 from weylfun.algebra import GaussRational, UniPoly
 from weylfun.disentangle import (
     EVEN_HERMITE_EXPONENT,
@@ -308,3 +310,34 @@ def test_quad_exponent_validation():
         QuadExponent(0, complex(0, float("inf")), 0)
     with pytest.raises(DomainError, match="g must be finite"):
         FactoredForm(0.1, float("inf"), 0.0, 0.5)
+
+
+def test_records_keep_their_constructor_equality_hash_and_immutability():
+    q = QuadExponent(a_x2=4.0, b_mix=-2j, c_p2=-1.0)
+    assert q == EVEN_HERMITE_EXPONENT and q == QuadExponent(4.0, c_p2=-1.0, b_mix=-2j)
+    assert hash(q) == hash(EVEN_HERMITE_EXPONENT) == hash((4.0, -2j, -1.0))
+    assert len({q, EVEN_HERMITE_EXPONENT, QuadExponent(0, 0, 1)}) == 2
+    assert repr(q) == f"QuadExponent(a_x2=4.0, b_mix={-2j!r}, c_p2=-1.0)"
+    assert copy.copy(q) == q == pickle.loads(pickle.dumps(q))
+    with pytest.raises(AttributeError):
+        q.a_x2 = 1.0
+    with pytest.raises(AttributeError):
+        del q.c_p2
+    with pytest.raises(AttributeError):
+        q.other = 1
+    for bad in ((4.0, -2j), (4.0, -2j, -1.0, 0.0)):
+        with pytest.raises(TypeError):
+            QuadExponent(*bad)
+    with pytest.raises(TypeError):
+        QuadExponent(4.0, -2j, a_x2=1.0)
+    with pytest.raises(DomainError, match="b_mix must be finite"):
+        QuadExponent(a_x2=0, b_mix=math.nan, c_p2=0)
+    with pytest.raises(ValueError, match="must be the identity"):
+        FactoredForm(f=1, g=0, h=0, t=0.0)
+    op = weyl.WeylOp.x()
+    records = [polyfam.PolyFamily(polys=op), weyl.Terminated(result=op),
+               weyl.Eigen(eigenvalue=op, op=op), disentangle.ExpQuadPoly(quad_coeff=1, poly=())]
+    assert records[1] == weyl.Terminated(op) and records[1].result is op
+    assert records[2].eigenvalue is op and records[2].op is op
+    assert all(a != b for i, a in enumerate(records) for b in records[i + 1:])
+    assert records[0] != (op,) and weyl.Eigen(1, op) != weyl.Eigen(2, op)

@@ -1,8 +1,14 @@
 import inspect
 import json
 import math
+import os
 import random
+import re
+import subprocess
+import sys
+import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -168,3 +174,31 @@ def test_ode_residual_check_caches_no_hermite_sets():
     polyfam._hermite_upto.cache_clear()
     assert run_check("hermite_ode_residual")["pass"]
     assert polyfam._hermite_upto.cache_info().currsize == 0
+
+
+def test_suite_peaks_below_one_mib():
+    """The RK4 comparison streams its 10,001 steps; holding them all peaked at 3.0 MB."""
+    tracemalloc.start()
+    try:
+        report = run_suite()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report["counts"] == {"pass": 37, "fail": 0}
+    assert peak < 1 << 20
+
+
+def test_cli_import_loads_no_dataclasses_inspect_or_datetime():
+    probe = (
+        "import sys; before = set(sys.modules); import weylfun.cli; "
+        "print(sorted({'dataclasses', 'inspect', 'datetime'} & (set(sys.modules) - before)))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(harness.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
+
+
+def test_report_timestamp_is_utc_iso_seconds():
+    stamp = run_suite("algebra_ring_axioms")["timestamp"]
+    assert re.fullmatch(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d\+00:00", stamp), stamp

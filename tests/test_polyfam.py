@@ -236,6 +236,17 @@ def test_even_hermite_overflow_is_a_domain_error():
     assert cmath.isfinite(polyfam.even_hermite_partial(11.7, 1.84, 100))
 
 
+@pytest.mark.parametrize("t, x", [(1e300, 27.0), (1e200, 30.0), (1e20, 27.0)])
+def test_even_hermite_closed_is_finite_past_the_exp_overflow(t, x):
+    """exp(4tx^2/(4t+1)) overflows; the value, past the division by sqrt(4t+1), does not."""
+    with mpmath.workdps(40):
+        w = 4 * mpmath.mpf(t) + 1
+        want = float(mpmath.exp(4 * mpmath.mpf(t) * mpmath.mpf(x) ** 2 / w) / mpmath.sqrt(w))
+    got = polyfam.even_hermite_closed(t, x)
+    assert got.imag == 0.0
+    assert abs(got.real - want) <= 1e-12 * want
+
+
 def test_even_hermite_singularity():
     with pytest.raises(SingularityError):
         polyfam.even_hermite_closed(-0.25, 0.0)

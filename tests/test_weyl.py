@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from weylfun import algebra, polyfam, weyl
 from weylfun.algebra import GaussRational, UniPoly
 from weylfun.disentangle import EVEN_HERMITE_EXPONENT, _as_weylop
-from weylfun.errors import NonConvergenceError, NotCentralError
+from weylfun.errors import DomainError, NonConvergenceError, NotCentralError
 from weylfun.weyl import (
     Eigen,
     Terminated,
@@ -316,3 +316,9 @@ def test_kernels_build_one_scalar_per_output_coefficient(monkeypatch):
         assert calls == 0
         terms = out.terms()
         assert calls == len(terms) > 0
+
+
+@pytest.mark.parametrize("n", [-1, 1.5])
+def test_operator_power_outside_the_integers_is_a_domain_error(n):
+    with pytest.raises(DomainError, match="integer n >= 0"):
+        WeylOp.x() ** n
